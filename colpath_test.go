@@ -12,13 +12,16 @@ import (
 // TestColumnarPathByteIdentical pins the tentpole equivalence claim of the
 // columnar trace format: for every paper kernel and both policies, the
 // model's output is byte-for-byte identical whether the trace reaches the
-// pipeline as freshly-emulated rows, as a columnar v2 file streamed
-// through cursors, or as a legacy v1 gob file. Any divergence between the
+// pipeline as rows from the row emulator, as a session's column-first
+// emulation, as a columnar v2 file streamed through cursors, or as a
+// legacy v1 gob file. Any divergence between the trace builders or the
 // storage layouts — decode drift, cursor ordering, lost record fields —
 // fails here before it can move a golden figure.
 func TestColumnarPathByteIdentical(t *testing.T) {
 	names := kernels.PaperNames()
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
+		// Two emulations and four sessions per kernel; all 40 kernels
+		// are most of the package's time under the race detector.
 		names = names[:6]
 	}
 	policies := []struct {
@@ -35,26 +38,28 @@ func TestColumnarPathByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One columnar emulation, saved in both formats.
-			tr, err := info.TraceColumnar(kernels.Scale{Blocks: DefaultBlocks(info.WarpsPerBlock), Seed: 1}, DefaultConfig().L1LineBytes)
+			rows, err := info.Trace(kernels.Scale{Blocks: DefaultBlocks(info.WarpsPerBlock), Seed: 1}, DefaultConfig().L1LineBytes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			colPath := filepath.Join(dir, "col.trace")
-			gobPath := filepath.Join(dir, "gob.trace")
-			if err := tr.Save(colPath); err != nil {
+			sess, err := NewSession(name) // a fresh column-first emulation
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.SaveLegacy(gobPath); err != nil {
+			// The session's columnar trace, saved in both formats.
+			colPath := filepath.Join(dir, "col.trace")
+			gobPath := filepath.Join(dir, "gob.trace")
+			if err := sess.lazy.tr.Save(colPath); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.lazy.tr.SaveLegacy(gobPath); err != nil {
 				t.Fatal(err)
 			}
 
-			sessions := map[string]*Session{}
-			rowSess, err := NewSession(name) // row records from a fresh emulation
-			if err != nil {
-				t.Fatal(err)
+			sessions := map[string]*Session{
+				"row":     sessionFromTrace(rows, sessionOpts{seed: 1, line: 128}),
+				"session": sess,
 			}
-			sessions["row"] = rowSess
 			for label, path := range map[string]string{"columnar-file": colPath, "legacy-file": gobPath} {
 				sess, err := NewSessionFromTraceFile(path)
 				if err != nil {
@@ -62,10 +67,13 @@ func TestColumnarPathByteIdentical(t *testing.T) {
 				}
 				sessions[label] = sess
 			}
+			if sessions["row"].lazy.tr.Warps[0].Col() != nil || sess.lazy.tr.Warps[0].Col() == nil {
+				t.Fatal("row leg is not row-backed or session leg is not columnar-backed")
+			}
 
 			for _, p := range policies {
 				var wantJSON []byte
-				for _, label := range []string{"row", "columnar-file", "legacy-file"} {
+				for _, label := range []string{"row", "session", "columnar-file", "legacy-file"} {
 					est, err := sessions[label].Estimate(DefaultConfig(), p.pol)
 					if err != nil {
 						t.Fatalf("%s %s: %v", label, p.name, err)

@@ -182,9 +182,10 @@ func WithTraceCache(dir string) Option { return func(o *sessionOpts) { o.traceCa
 
 // WithProfileStore points the session at a content-addressed, disk-
 // backed store of structural prep (internal/store): the cache profile,
-// per-PC latency table, per-warp interval profiles, and clustering
-// representative, keyed by kernel, grid, seed, line size, and every
-// configuration field they depend on. With a store configured the
+// per-PC latency table, and the Clustering, Max and Min representative
+// warps with their interval profiles, keyed by kernel, grid, seed, line
+// size, and every configuration field they depend on: the disk tier
+// under the session's in-memory prep memo. With a store configured the
 // session defers tracing entirely: an estimate whose prep is already on
 // disk never runs the emulator or the cache simulator, so warm profiles
 // survive process restarts and are shareable across processes pointed
@@ -208,12 +209,19 @@ func WithObserver(o *Observer) Option { return func(so *sessionOpts) { so.obs = 
 // Session holds one traced kernel and evaluates models and the oracle
 // against it. Create with NewSession.
 //
-// A Session is safe for concurrent use: the trace is immutable after
-// NewSession, the cache-profile memo is lock-guarded, and a profile for a
-// given configuration is simulated at most once even when many goroutines
-// request it simultaneously. Callers may therefore sweep hardware
-// configurations from multiple goroutines (the paper's design-space
-// exploration mode) and rely on results identical to sequential calls.
+// Estimates follow the paper's profile-once, explore-many mode: the
+// structural prep of a configuration (cache profile, PC table, interval
+// profiles, representative warps) is built once per prep key and
+// memoized, so every later estimate at that key — any warps, MSHRs,
+// bandwidth, policy, level or selection method — runs only the
+// multi-warp, contention and CPI-stack stages.
+//
+// A Session is safe for concurrent use: the trace is immutable once
+// built, the prep memo is lock-guarded, and each key's prep is built at
+// most once even when many goroutines request it simultaneously. Callers
+// may therefore sweep hardware configurations from multiple goroutines
+// (the paper's design-space exploration mode) and rely on results
+// identical to sequential calls.
 type Session struct {
 	name    string
 	info    *kernels.Info // nil for sessions loaded from a trace file
@@ -229,8 +237,8 @@ type Session struct {
 
 	traceCacheDir string
 
-	// store, when non-nil, is the content-addressed disk store of
-	// structural prep; sessions with one defer tracing until an estimate
+	// store, when non-nil, is the content-addressed disk tier of the
+	// prep memo; sessions with one defer tracing until an estimate
 	// actually misses it.
 	store *store.Store
 
@@ -239,14 +247,10 @@ type Session struct {
 	// metadata a store hit can answer without the trace existing.
 	lazy *lazyTrace
 
-	// memo is shared by every view of this session (see Observing): the
-	// trace is simulated per configuration at most once process-wide no
-	// matter which view asked first.
-	memo *profileMemo
-
-	// prep memoizes store entries (disk hits and fresh builds alike) per
-	// store key, so a warm key costs one disk read per process.
-	prep *prepMemo
+	// memo is shared by every view of this session (see Observing): a
+	// key's prep is resolved at most once process-wide no matter which
+	// view asked first.
+	memo *prepMemo
 }
 
 // lazyTrace is the session's at-most-once trace cell. The mutex also
@@ -262,24 +266,35 @@ type lazyTrace struct {
 	totalInsts int64
 }
 
-// profileMemo memoizes cache profiles per configuration key; each entry
-// is simulated once (sync.Once) and shared by every waiter.
-type profileMemo struct {
+// prepMemo is the session's structural-prep memo. entries holds one
+// slim store.Entry per store key, resolved from memory, then the profile
+// store, then a build. profiles holds one cache profile per
+// cache.ProfileKey, so keys that differ only in compute latencies or
+// issue width share one cache simulation. Each cell resolves once
+// (sync.Once) and is shared by every waiter.
+type prepMemo struct {
 	mu       sync.Mutex
+	entries  map[store.Key]*prepOnce
 	profiles map[cache.ProfileKey]*profileOnce
 }
 
-type profileOnce struct {
-	once sync.Once
-	p    *cache.Profile
-	err  error
+func newPrepMemo() *prepMemo {
+	return &prepMemo{
+		entries:  make(map[store.Key]*prepOnce),
+		profiles: make(map[cache.ProfileKey]*profileOnce),
+	}
 }
 
-// prepMemo memoizes structural prep per store key; each entry resolves
-// once (disk hit or build-and-put) and is shared by every waiter.
-type prepMemo struct {
-	mu      sync.Mutex
-	entries map[store.Key]*prepOnce
+// memoCell returns m's cell for k, creating it under the memo lock.
+func memoCell[K comparable, C any](memo *prepMemo, m map[K]*C, k K) *C {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	c := m[k]
+	if c == nil {
+		c = new(C)
+		m[k] = c
+	}
+	return c
 }
 
 type prepOnce struct {
@@ -288,11 +303,17 @@ type prepOnce struct {
 	err  error
 }
 
+type profileOnce struct {
+	once sync.Once
+	p    *cache.Profile
+	err  error
+}
+
 // Observing returns a view of s that reports to o instead of the
 // observer the session was created with, while sharing the trace and the
-// cache-profile memo. A serving layer uses it to nest one request's
-// evaluation spans under that request's span (via Observer.WithSpan)
-// without re-tracing the kernel or abandoning memoized profiles; the
+// prep memo. A serving layer uses it to nest one request's evaluation
+// spans under that request's span (via Observer.WithSpan) without
+// re-tracing the kernel or abandoning memoized prep; the
 // receiver is not modified and both views remain safe for concurrent
 // use. Observing(nil) returns an uninstrumented view.
 func (s *Session) Observing(o *Observer) *Session {
@@ -339,8 +360,7 @@ func NewSession(kernel string, opts ...Option) (*Session, error) {
 		line:          o.line,
 		traceCacheDir: o.traceCache,
 		lazy:          &lazyTrace{},
-		memo:          &profileMemo{profiles: make(map[cache.ProfileKey]*profileOnce)},
-		prep:          &prepMemo{entries: make(map[store.Key]*prepOnce)},
+		memo:          newPrepMemo(),
 	}
 	if o.profileStore != "" {
 		if s.store, err = store.Open(o.profileStore, o.obs); err != nil {
@@ -391,12 +411,14 @@ func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 	return tr, nil
 }
 
-// buildTrace produces a kernel trace: straight from the emulator by
-// default, or through the columnar trace cache when one is configured.
+// buildTrace produces a columnar kernel trace: straight from the
+// emulator by default, or through the columnar trace cache when one is
+// configured. Columnar is a quarter the size of rows, and once prep is
+// memoized the trace is the largest thing a session holds.
 func buildTrace(info *kernels.Info, blocks int, seed int64, line int, cacheDir string) (*trace.Kernel, error) {
 	scale := kernels.Scale{Blocks: blocks, Seed: seed}
 	if cacheDir == "" {
-		return info.Trace(scale, line)
+		return info.TraceColumnar(scale, line)
 	}
 	path := filepath.Join(cacheDir,
 		fmt.Sprintf("%s_b%d_s%d_l%d.trace", info.Name, blocks, seed, line))
@@ -435,6 +457,12 @@ func NewSessionFromTraceFile(path string, opts ...Option) (*Session, error) {
 	sp.SetStr("kernel", tr.Name)
 	sp.SetInt("instructions", tr.TotalInsts())
 	sp.End()
+	return sessionFromTrace(tr, o), nil
+}
+
+// sessionFromTrace opens a session over an already-built trace, keeping
+// its layout (rows or columns) as it is.
+func sessionFromTrace(tr *trace.Kernel, o sessionOpts) *Session {
 	info, _ := kernels.Get(tr.Name) // best-effort metadata; nil is fine
 	return &Session{
 		name:    tr.Name,
@@ -446,9 +474,8 @@ func NewSessionFromTraceFile(path string, opts ...Option) (*Session, error) {
 		line:    o.line,
 		lazy: &lazyTrace{tr: tr, metaKnown: true,
 			warps: len(tr.Warps), totalInsts: tr.TotalInsts()},
-		memo: &profileMemo{profiles: make(map[cache.ProfileKey]*profileOnce)},
-		prep: &prepMemo{entries: make(map[store.Key]*prepOnce)},
-	}, nil
+		memo: newPrepMemo(),
+	}
 }
 
 // Kernel returns the session's kernel name.
@@ -505,30 +532,99 @@ func (s *Session) noteMeta(warps int, totalInsts int64) {
 	s.lazy.mu.Unlock()
 }
 
-// cacheProfile memoizes cache.Simulate per cache-geometry key
-// (config.Config.ProfileKey): the Config fields the profile depends on —
-// geometry and latencies — with the cache residency pinned at the
-// canonical profiling value (config.Config.ProfileConfig). Sweep points
-// that differ only in warps, MSHRs or DRAM bandwidth therefore share one
-// simulation, the paper's one-profile-per-input methodology, while
-// changing any geometry or latency field re-simulates instead of serving
-// a stale profile. The map is lock-guarded and each entry simulates once,
-// making concurrent sweeps race-free without repeating work.
-func (s *Session) cacheProfile(cfg Config, o *obs.Observer) (*cache.Profile, error) {
+// Prep tiers: where an estimate's structural prep came from, recorded
+// as the "prep" attribute of its span.
+const (
+	prepMemory = "memory" // the session's memo, resolved by an earlier call
+	prepDisk   = "disk"   // the profile store
+	prepBuild  = "build"  // traced, simulated and profiled by this call
+)
+
+// prep resolves the structural prep of cfg: the session's memo first,
+// then the profile store, then a build that is persisted for the next
+// process. Each store key resolves at most once per session; concurrent
+// first requests share one resolution. A memo answer serves the cache
+// profile from memory, so it counts toward cache.profile.memo_hits.
+func (s *Session) prep(cfg Config, sp *obs.Span, o *obs.Observer) (*store.Entry, error) {
 	// Validate eagerly: a memo hit must not mask an invalid configuration
 	// whose fields happen to share a key with a previously valid one (and
 	// canonicalization could make an invalid residency simulate cleanly).
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := cfg.ProfileKey()
-	s.memo.mu.Lock()
-	ent := s.memo.profiles[key]
-	if ent == nil {
-		ent = &profileOnce{}
-		s.memo.profiles[key] = ent
+	key := store.KeyFor(s.name, s.blocks, s.seed, s.line, cfg)
+	po := memoCell(s.memo, s.memo.entries, key)
+	tier := prepMemory
+	po.once.Do(func() {
+		if s.store != nil {
+			if e, ok := s.store.Get(key); ok {
+				tier = prepDisk
+				po.e = e
+				s.noteMeta(e.Warps, e.TotalInsts)
+				s.seedProfile(cfg, e.Profile)
+				return
+			}
+		}
+		tier = prepBuild
+		po.e, po.err = s.buildPrep(key, cfg, o)
+	})
+	sp.SetStr("prep", tier)
+	if tier == prepMemory && o != nil && o.Metrics != nil {
+		o.Counter("cache.profile.memo_hits").Inc()
 	}
-	s.memo.mu.Unlock()
+	return po.e, po.err
+}
+
+// buildPrep traces, simulates and profiles one configuration, keeping
+// only its representatives' interval profiles (model.StructuralReps).
+// With a store configured the entry is persisted; a write failure is
+// recorded on the store's counters but does not fail the estimate, since
+// the prep in hand is valid either way.
+func (s *Session) buildPrep(key store.Key, cfg Config, o *obs.Observer) (*store.Entry, error) {
+	tr, err := s.kernelTrace(o)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := s.cacheProfile(cfg, o)
+	if err != nil {
+		return nil, err
+	}
+	t, profiles, reps, err := model.StructuralReps(model.Inputs{
+		Kernel:  tr,
+		Cfg:     cfg,
+		Profile: prof,
+		Workers: s.workers,
+		Obs:     o,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e := &store.Entry{
+		Key:          key,
+		Warps:        len(tr.Warps),
+		TotalInsts:   tr.TotalInsts(),
+		Profile:      prof,
+		Table:        t,
+		WarpProfiles: profiles,
+		Rep:          reps[Clustering],
+		MaxRep:       reps[MaxWarp],
+		MinRep:       reps[MinWarp],
+	}
+	if s.store != nil {
+		s.store.Put(key, e) // best-effort durability; errors are counted
+	}
+	return e, nil
+}
+
+// cacheProfile memoizes cache.Simulate per cache-geometry key
+// (config.Config.ProfileKey): the Config fields the profile depends on —
+// geometry and latencies — with the cache residency pinned at the
+// canonical profiling value (config.Config.ProfileConfig). Sweep points
+// that differ only in warps, MSHRs or DRAM bandwidth share one prep key
+// and never get here twice; prep keys that differ only in compute
+// latencies or issue width share one simulation here.
+func (s *Session) cacheProfile(cfg Config, o *obs.Observer) (*cache.Profile, error) {
+	ent := memoCell(s.memo, s.memo.profiles, cfg.ProfileKey())
 	simulated := false
 	ent.once.Do(func() {
 		simulated = true
@@ -561,6 +657,15 @@ func (s *Session) cacheProfile(cfg Config, o *obs.Observer) (*cache.Profile, err
 	return ent.p, ent.err
 }
 
+// seedProfile installs a store-loaded cache profile into the profile
+// memo, so a later build of a prep key sharing the configuration's
+// ProfileKey (another latency or issue-width variant) skips the cache
+// simulator.
+func (s *Session) seedProfile(cfg Config, p *cache.Profile) {
+	ent := memoCell(s.memo, s.memo.profiles, cfg.ProfileKey())
+	ent.once.Do(func() { ent.p = p })
+}
+
 // Estimate is the model's prediction for a kernel under one configuration.
 type Estimate struct {
 	CPI float64 // predicted cycles per warp-instruction (per core)
@@ -583,7 +688,9 @@ func (s *Session) Estimate(cfg Config, pol Policy) (*Estimate, error) {
 }
 
 // EstimateWith runs GPUMech at a chosen model level and representative-
-// warp selection method.
+// warp selection method. The structural prep comes from the session's
+// prep memo (see Session); the call itself runs the multi-warp,
+// contention and CPI-stack stages on the method's representative.
 func (s *Session) EstimateWith(cfg Config, pol Policy, lvl Level, m Method) (*Estimate, error) {
 	sp := s.obs.StartSpan("estimate")
 	defer sp.End()
@@ -591,71 +698,13 @@ func (s *Session) EstimateWith(cfg Config, pol Policy, lvl Level, m Method) (*Es
 	sp.SetStr("policy", pol.String())
 	sp.SetStr("method", m.String())
 	o := s.obs.WithSpan(sp)
-	if s.store != nil {
-		return s.estimateStored(cfg, pol, lvl, m, o)
-	}
-	prof, err := s.cacheProfile(cfg, o)
+	ent, err := s.prep(cfg, sp, o)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := s.kernelTrace(o)
+	rep, err := ent.RepFor(m)
 	if err != nil {
 		return nil, err
-	}
-	est, err := model.Run(model.Inputs{
-		Kernel:  tr,
-		Cfg:     cfg,
-		Profile: prof,
-		Policy:  pol,
-		Method:  m,
-		Level:   lvl,
-		Workers: s.workers,
-		Obs:     o,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wrapEstimate(est), nil
-}
-
-// wrapEstimate converts the model-layer estimate into the public one.
-func wrapEstimate(est *model.Estimate) *Estimate {
-	return &Estimate{
-		CPI:               est.CPI,
-		IPC:               est.IPCPerCore(),
-		MultithreadingCPI: est.CPIMultithreading,
-		ContentionCPI:     est.CPIContention,
-		MSHRDelayCycles:   est.Contention.MSHRDelay,
-		DRAMDelayCycles:   est.Contention.BWDelay,
-		RepWarp:           est.RepWarp,
-		Stack:             est.Stack,
-		Intervals:         len(est.RepProfile.Intervals),
-		WarpInsts:         est.RepProfile.Insts,
-	}
-}
-
-// estimateStored is EstimateWith through the profile store: the
-// structural prep — cache profile, PC table, warp profiles, clustering
-// representative — comes from disk when the key is warm and is built,
-// persisted, and memoized when it is not. Either way the per-request
-// model stages (multi-warp, contention, CPI stack) run through exactly
-// the code model.Run runs, so estimates are byte-identical with and
-// without the store.
-func (s *Session) estimateStored(cfg Config, pol Policy, lvl Level, m Method, o *obs.Observer) (*Estimate, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	ent, err := s.prepEntry(store.KeyFor(s.name, s.blocks, s.seed, s.line, cfg), cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	rep := ent.Rep
-	if m != Clustering {
-		// Only the clustering selection is worth persisting; Max and Min
-		// are single passes over the already-loaded profiles.
-		if rep, err = model.SelectRepresentative(ent.WarpProfiles, m, o); err != nil {
-			return nil, err
-		}
 	}
 	est, err := model.RunWithRepresentative(model.Inputs{
 		Cfg:     cfg,
@@ -669,87 +718,18 @@ func (s *Session) estimateStored(cfg Config, pol Policy, lvl Level, m Method, o 
 	if err != nil {
 		return nil, err
 	}
-	return wrapEstimate(est), nil
-}
-
-// prepEntry resolves the structural prep for one store key: the
-// in-process memo first, then the disk store, then a fresh build that is
-// persisted for the next process. Each key resolves at most once per
-// session; concurrent cold requests share one build.
-func (s *Session) prepEntry(key store.Key, cfg Config, o *obs.Observer) (*store.Entry, error) {
-	s.prep.mu.Lock()
-	po := s.prep.entries[key]
-	if po == nil {
-		po = &prepOnce{}
-		s.prep.entries[key] = po
-	}
-	s.prep.mu.Unlock()
-	po.once.Do(func() {
-		if e, ok := s.store.Get(key); ok {
-			po.e = e
-			s.noteMeta(e.Warps, e.TotalInsts)
-			s.seedProfile(cfg, e.Profile)
-			return
-		}
-		po.e, po.err = s.buildPrep(key, cfg, o)
-	})
-	return po.e, po.err
-}
-
-// buildPrep traces, simulates, and profiles one configuration from
-// scratch — the exact stages the storeless path runs, through the same
-// functions — then persists the result. A store write failure is
-// recorded on the store's counters but does not fail the estimate: the
-// prep in hand is valid either way.
-func (s *Session) buildPrep(key store.Key, cfg Config, o *obs.Observer) (*store.Entry, error) {
-	tr, err := s.kernelTrace(o)
-	if err != nil {
-		return nil, err
-	}
-	prof, err := s.cacheProfile(cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	t, profiles, err := model.Structural(model.Inputs{
-		Kernel:  tr,
-		Cfg:     cfg,
-		Profile: prof,
-		Workers: s.workers,
-		Obs:     o,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := model.SelectRepresentative(profiles, Clustering, o)
-	if err != nil {
-		return nil, err
-	}
-	e := &store.Entry{
-		Key:          key,
-		Warps:        len(tr.Warps),
-		TotalInsts:   tr.TotalInsts(),
-		Profile:      prof,
-		Table:        t,
-		WarpProfiles: profiles,
-		Rep:          rep,
-	}
-	s.store.Put(key, e) // best-effort durability; errors are counted
-	return e, nil
-}
-
-// seedProfile installs a store-loaded cache profile into the profile
-// memo, so oracle-free flows that share the configuration's ProfileKey
-// (baselines, other latency/issue variants) skip the cache simulator too.
-func (s *Session) seedProfile(cfg Config, p *cache.Profile) {
-	key := cfg.ProfileKey()
-	s.memo.mu.Lock()
-	ent := s.memo.profiles[key]
-	if ent == nil {
-		ent = &profileOnce{}
-		s.memo.profiles[key] = ent
-	}
-	s.memo.mu.Unlock()
-	ent.once.Do(func() { ent.p = p })
+	return &Estimate{
+		CPI:               est.CPI,
+		IPC:               est.IPCPerCore(),
+		MultithreadingCPI: est.CPIMultithreading,
+		ContentionCPI:     est.CPIContention,
+		MSHRDelayCycles:   est.Contention.MSHRDelay,
+		DRAMDelayCycles:   est.Contention.BWDelay,
+		RepWarp:           est.RepWarp,
+		Stack:             est.Stack,
+		Intervals:         len(est.RepProfile.Intervals),
+		WarpInsts:         est.RepProfile.Insts,
+	}, nil
 }
 
 // BaselineModel identifies one of the paper's comparison models.
@@ -770,35 +750,23 @@ func (b BaselineModel) String() string {
 }
 
 // EstimateBaseline predicts CPI with one of the comparison models. Both
-// use the same representative warp as GPUMech (selected by clustering).
+// use the same representative warp as GPUMech (selected by clustering),
+// read from the same prep memo.
 func (s *Session) EstimateBaseline(cfg Config, b BaselineModel) (float64, error) {
 	sp := s.obs.StartSpan("estimate-baseline")
 	defer sp.End()
 	sp.SetStr("kernel", s.name)
 	sp.SetStr("model", b.String())
-	o := s.obs.WithSpan(sp)
-	prof, err := s.cacheProfile(cfg, o)
+	ent, err := s.prep(cfg, sp, s.obs.WithSpan(sp))
 	if err != nil {
 		return 0, err
 	}
-	tr, err := s.kernelTrace(o)
-	if err != nil {
-		return 0, err
-	}
-	t := model.BuildPCTable(tr.Prog, cfg, prof)
-	profiles, err := model.BuildWarpProfilesWorkers(tr, cfg, t, s.workers)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := cluster.SelectObs(profiles, cluster.Clustering, o)
-	if err != nil {
-		return 0, err
-	}
+	rep := ent.WarpProfiles[ent.Rep]
 	switch b {
 	case NaiveInterval:
-		return baseline.NaiveInterval(profiles[rep], cfg.WarpsPerCore)
+		return baseline.NaiveInterval(rep, cfg.WarpsPerCore)
 	case MarkovChain:
-		return baseline.MarkovChain(profiles[rep], cfg.WarpsPerCore)
+		return baseline.MarkovChain(rep, cfg.WarpsPerCore)
 	}
 	return 0, fmt.Errorf("gpumech: unknown baseline model %d", b)
 }

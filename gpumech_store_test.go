@@ -84,8 +84,8 @@ func TestProfileStoreByteIdentity(t *testing.T) {
 }
 
 // TestProfileStoreSelectionMethods checks Max/Min selection through the
-// store: the stored entry persists only the clustering representative,
-// so other methods recompute from the loaded profiles and must agree
+// store: the stored entry persists the Clustering, Max and Min
+// representatives and only their profiles, and every method must agree
 // with the storeless path.
 func TestProfileStoreSelectionMethods(t *testing.T) {
 	dir := t.TempDir()

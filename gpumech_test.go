@@ -274,8 +274,8 @@ func TestParseLevel(t *testing.T) {
 }
 
 // TestObservingSharesMemo proves an Observing view reuses the base
-// session's cache-profile memo (no re-simulation) while reporting to its
-// own observer, and that the view's estimates are identical.
+// session's prep memo (no re-simulation) while reporting to its own
+// observer, and that the view's estimates are identical.
 func TestObservingSharesMemo(t *testing.T) {
 	base, err := NewSession("sdk_vectoradd")
 	if err != nil {

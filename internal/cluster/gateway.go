@@ -79,6 +79,16 @@ type Gateway struct {
 	mux     *http.ServeMux
 }
 
+// discardHandler drops every log record. Enabled reports false, so
+// no record is ever built. (slog.DiscardHandler needs Go 1.24; go.mod
+// declares 1.22.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
 // New builds a gateway and starts its health loop.
 func New(cfg Config) (*Gateway, error) {
 	if cfg.Client == nil {
@@ -91,7 +101,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
+		cfg.Logger = slog.New(discardHandler{})
 	}
 	o := obs.NewObserver(cfg.Metrics, nil)
 	pool, err := NewPool(cfg.Nodes, cfg.Client, o)

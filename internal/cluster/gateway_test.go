@@ -18,7 +18,7 @@ import (
 	"gpumech/internal/serve"
 )
 
-func discardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
+func discardLogger() *slog.Logger { return slog.New(discardHandler{}) }
 
 // stubBackend is a minimal gpumech-serve stand-in that records traffic.
 type stubBackend struct {

@@ -173,13 +173,30 @@ func Build(w *trace.WarpTrace, numRegs int, issueRate float64, t *PCTable) (*Pro
 // Peak memory is therefore O(numRegs) plus the cursor's decode window,
 // independent of how long the trace is.
 func BuildCursor(cur trace.RecCursor, numRegs int, issueRate float64, t *PCTable) (*Profile, error) {
+	p, _, err := buildCursor(cur, numRegs, issueRate, t, true)
+	return p, err
+}
+
+// Summarize runs Build's algorithm without keeping the intervals. The
+// profile's Insts, Stall and IssueRate are Build's to the bit, so
+// WarpPerf, IssueProb and representative-warp selection agree with a
+// full profile's; Intervals is nil, and n is how many Build would hold.
+// Summarizing every warp and building only the representatives skips
+// allocating thousands of interval lists that selection never reads.
+func Summarize(w *trace.WarpTrace, numRegs int, issueRate float64, t *PCTable) (p *Profile, n int, err error) {
+	return buildCursor(w.Cursor(), numRegs, issueRate, t, false)
+}
+
+// buildCursor is BuildCursor, keeping the intervals only when keep is
+// set; n counts them either way.
+func buildCursor(cur trace.RecCursor, numRegs int, issueRate float64, t *PCTable, keep bool) (p *Profile, n int, err error) {
 	if issueRate <= 0 {
-		return nil, fmt.Errorf("interval: issue rate must be positive, got %g", issueRate)
+		return nil, 0, fmt.Errorf("interval: issue rate must be positive, got %g", issueRate)
 	}
 	if t == nil {
-		return nil, fmt.Errorf("interval: nil PC table")
+		return nil, 0, fmt.Errorf("interval: nil PC table")
 	}
-	p := &Profile{IssueRate: issueRate}
+	p = &Profile{IssueRate: issueRate}
 
 	issueStep := 1.0 / issueRate
 	// Per-register last-writer state. A source never written keeps the
@@ -220,7 +237,10 @@ func BuildCursor(cur trace.RecCursor, numRegs int, issueRate float64, t *PCTable
 				iv.CausePC = int(regPC[bound])
 				iv.CauseClass = regClass[bound]
 			}
-			p.Intervals = append(p.Intervals, iv)
+			if keep {
+				p.Intervals = append(p.Intervals, iv)
+			}
+			n++
 			p.Stall += iv.StallCycles
 			iv = Interval{CausePC: -1}
 		}
@@ -266,13 +286,16 @@ func BuildCursor(cur trace.RecCursor, numRegs int, issueRate float64, t *PCTable
 		i++
 	}
 	if err := cur.Err(); err != nil {
-		return nil, fmt.Errorf("interval: %w", err)
+		return nil, 0, fmt.Errorf("interval: %w", err)
 	}
 	// The trailing instructions form the final interval with no stall.
 	if iv.Insts > 0 {
-		p.Intervals = append(p.Intervals, iv)
+		if keep {
+			p.Intervals = append(p.Intervals, iv)
+		}
+		n++
 	}
-	return p, nil
+	return p, n, nil
 }
 
 // Validate checks the internal consistency of a profile: instruction and

@@ -165,6 +165,35 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 }
 
+// TestPropertySummarizeMatchesBuild checks Summarize against Build on
+// random traces, with and without the merge window: the same Insts,
+// Stall and IssueRate bit for bit, no intervals, and Build's interval
+// count.
+func TestPropertySummarizeMatchesBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		recs, tbl := randomTrace(rng)
+		if trial%2 == 1 {
+			tbl.MergeWindow = 50
+		}
+		issueRate := []float64{1, 0.5, 2}[trial%3]
+		w := &trace.WarpTrace{Recs: recs}
+		full, err := Build(w, genNumRegs, issueRate, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, n, err := Summarize(w, genNumRegs, issueRate, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &Profile{Insts: full.Insts, Stall: full.Stall, IssueRate: full.IssueRate}
+		if !reflect.DeepEqual(sum, want) || n != len(full.Intervals) {
+			t.Fatalf("trial %d: summary %+v with %d intervals, want %+v with %d",
+				trial, sum, n, want, len(full.Intervals))
+		}
+	}
+}
+
 // TestPropertyStallCauses checks the CPI-stack preconditions on random
 // traces: every stalling interval (except a possible trailing drain) names
 // a cause PC that exists in the trace, and its recorded class matches the

@@ -186,20 +186,35 @@ func BuildWarpProfiles(k *trace.Kernel, cfg config.Config, t *interval.PCTable) 
 // profile is independent given the PC table, and every worker writes only
 // its own index slot, so the result is identical at any worker count.
 func BuildWarpProfilesWorkers(k *trace.Kernel, cfg config.Config, t *interval.PCTable, workers int) ([]*interval.Profile, error) {
+	profiles, _, err := profileWarps(k, cfg, t, workers, true)
+	return profiles, err
+}
+
+// profileWarps runs the interval algorithm over every warp, keeping each
+// warp's intervals only when keep is set (interval.Summarize), and
+// returns each warp's interval count alongside.
+func profileWarps(k *trace.Kernel, cfg config.Config, t *interval.PCTable, workers int, keep bool) ([]*interval.Profile, []int, error) {
 	numRegs := k.Prog.NumRegs + k.Prog.NumPreds
 	profiles := make([]*interval.Profile, len(k.Warps))
+	counts := make([]int, len(k.Warps))
 	err := parallel.ForEach(parallel.Workers(workers), len(k.Warps), func(i int) error {
-		p, err := interval.Build(k.Warps[i], numRegs, cfg.IssueRate(), t)
+		var err error
+		if keep {
+			if profiles[i], err = interval.Build(k.Warps[i], numRegs, cfg.IssueRate(), t); err == nil {
+				counts[i] = len(profiles[i].Intervals)
+			}
+		} else {
+			profiles[i], counts[i], err = interval.Summarize(k.Warps[i], numRegs, cfg.IssueRate(), t)
+		}
 		if err != nil {
 			return fmt.Errorf("model: warp %d: %w", i, err)
 		}
-		profiles[i] = p
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return profiles, nil
+	return profiles, counts, nil
 }
 
 // Structural computes the structural prep of one configuration: the
@@ -208,6 +223,49 @@ func BuildWarpProfilesWorkers(k *trace.Kernel, cfg config.Config, t *interval.PC
 // (the profile store, the accuracy harness) reuse exactly the code —
 // and exactly the spans and metrics — the one-shot path runs.
 func Structural(in Inputs) (*interval.PCTable, []*interval.Profile, error) {
+	return structural(in, true)
+}
+
+// StructuralReps is Structural for callers that keep only the
+// representative warps. It summarizes every warp (interval.Summarize),
+// selects the Clustering, Max and Min representatives on the summaries
+// (reps is indexed by cluster.Method), and then builds full profiles for
+// those warps alone. profiles is index-aligned with the warps and nil
+// except at the representatives. Selection reads only what a summary
+// holds, so the representatives and their profiles are the ones
+// Structural plus SelectRepresentative yield.
+func StructuralReps(in Inputs) (t *interval.PCTable, profiles []*interval.Profile, reps [3]int, err error) {
+	t, sums, err := structural(in, false)
+	if err != nil {
+		return nil, nil, reps, err
+	}
+	if reps[cluster.Clustering], err = SelectRepresentative(sums, cluster.Clustering, in.Obs); err != nil {
+		return nil, nil, reps, err
+	}
+	// Neither selection can fail on the non-empty set clustering took.
+	reps[cluster.Max], _ = cluster.Select(sums, cluster.Max)
+	reps[cluster.Min], _ = cluster.Select(sums, cluster.Min)
+	numRegs := in.Kernel.Prog.NumRegs + in.Kernel.Prog.NumPreds
+	profiles = make([]*interval.Profile, len(sums))
+	built := 0
+	for _, r := range reps {
+		if profiles[r] != nil {
+			continue
+		}
+		if profiles[r], err = interval.Build(in.Kernel.Warps[r], numRegs, in.Cfg.IssueRate(), t); err != nil {
+			return nil, nil, reps, fmt.Errorf("model: warp %d: %w", r, err)
+		}
+		built++
+	}
+	if o := in.Obs; o != nil && o.Metrics != nil {
+		o.Counter("interval.reps_profiled").Add(int64(built))
+	}
+	return t, profiles, reps, nil
+}
+
+// structural is Structural, keeping every warp's intervals only when
+// keep is set.
+func structural(in Inputs, keep bool) (*interval.PCTable, []*interval.Profile, error) {
 	if in.Kernel == nil {
 		return nil, nil, fmt.Errorf("model: nil kernel trace")
 	}
@@ -224,7 +282,7 @@ func Structural(in Inputs) (*interval.PCTable, []*interval.Profile, error) {
 
 	sp := o.StartSpan("interval-profiling")
 	start = time.Now()
-	profiles, err := BuildWarpProfilesWorkers(in.Kernel, in.Cfg, t, in.Workers)
+	profiles, counts, err := profileWarps(in.Kernel, in.Cfg, t, in.Workers, keep)
 	if err != nil {
 		sp.End()
 		return nil, nil, err
@@ -235,8 +293,8 @@ func Structural(in Inputs) (*interval.PCTable, []*interval.Profile, error) {
 	if o != nil && o.Metrics != nil {
 		intervals := o.Histogram("interval.intervals_per_warp")
 		stalls := o.Histogram("interval.stall_cycles_per_warp")
-		for _, p := range profiles {
-			intervals.Observe(float64(len(p.Intervals)))
+		for i, p := range profiles {
+			intervals.Observe(float64(counts[i]))
 			stalls.Observe(p.Stall)
 		}
 		o.Counter("interval.warps_profiled").Add(int64(len(profiles)))

@@ -1,12 +1,15 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
+	"gpumech/internal/core/cluster"
 	"gpumech/internal/emu"
 	"gpumech/internal/isa"
+	"gpumech/internal/kernels"
 	"gpumech/internal/trace"
 )
 
@@ -154,6 +157,65 @@ func TestRunWithRepresentativeBounds(t *testing.T) {
 	}
 	if _, err := RunWithRepresentative(in, tbl, profiles, 0); err != nil {
 		t.Errorf("valid rep rejected: %v", err)
+	}
+}
+
+// TestStructuralRepsMatchesStructural checks that selecting on warp
+// summaries picks the representatives selection on full profiles picks,
+// and that their profiles are the full ones, on kernels whose warps
+// differ.
+func TestStructuralRepsMatchesStructural(t *testing.T) {
+	for _, name := range []string{"rodinia_bfs", "rodinia_hotspot", "sdk_reduction"} {
+		info, err := kernels.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := info.TraceColumnar(kernels.Scale{Blocks: 16, Seed: 1}, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := config.Baseline()
+		prof, err := cache.Simulate(k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := Inputs{Kernel: k, Cfg: cfg, Profile: prof}
+		wantT, full, err := Structural(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotT, profiles, reps, err := StructuralReps(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotT, wantT) {
+			t.Errorf("%s: PC tables differ", name)
+		}
+		isRep := map[int]bool{}
+		for _, m := range []cluster.Method{cluster.Clustering, cluster.Max, cluster.Min} {
+			want, err := cluster.Select(full, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reps[m] != want {
+				t.Errorf("%s: %v representative = %d, want %d", name, m, reps[m], want)
+			}
+			isRep[want] = true
+		}
+		if len(isRep) < 2 {
+			t.Errorf("%s: Max and Min pick the same warp; the kernel does not exercise selection", name)
+		}
+		if len(profiles) != len(full) {
+			t.Fatalf("%s: %d profiles, want %d", name, len(profiles), len(full))
+		}
+		for i, p := range profiles {
+			switch {
+			case isRep[i] && !reflect.DeepEqual(p, full[i]):
+				t.Errorf("%s: representative %d: profile differs from Structural's", name, i)
+			case !isRep[i] && p != nil:
+				t.Errorf("%s: warp %d is no representative but has a profile", name, i)
+			}
+		}
 	}
 }
 

@@ -151,13 +151,13 @@ func RunSink(l Launch, sink trace.Sink) error {
 		}
 	}
 
-	warpsPerBlock := l.ThreadsPerBlock / l.WarpSize
 	budget := l.MaxRecs
+	blk := newBlock(&l, l.ThreadsPerBlock/l.WarpSize)
+	blk.budget = &budget
+	blk.sink = sink
 	for b := 0; b < l.Blocks; b++ {
 		sink.BeginBlock(b)
-		blk := newBlock(&l, b, warpsPerBlock)
-		blk.budget = &budget
-		blk.sink = sink
+		blk.reset(b)
 		if err := blk.run(); err != nil {
 			return err
 		}
@@ -184,38 +184,54 @@ type warp struct {
 	atBar bool
 }
 
+// block is the execution state of one thread block. RunSink allocates
+// one and resets it for every block of the grid, so emulation allocates
+// per launch, not per block or per record.
 type block struct {
 	l       *Launch
 	id      int
 	warps   []*warp
 	shared  []byte
-	scratch []uint64 // address scratch for coalescing
-	lineBuf []uint64 // coalesced-lines scratch, reused across records
-	budget  *int64   // remaining trace-record budget across the launch
+	scratch []uint64  // address scratch for coalescing
+	lineBuf []uint64  // coalesced-lines scratch, reused across records
+	rec     trace.Rec // the record being emitted, reused across records
+	budget  *int64    // remaining trace-record budget across the launch
 	sink    trace.Sink
 }
 
-func newBlock(l *Launch, id, warpsPerBlock int) *block {
+func newBlock(l *Launch, warpsPerBlock int) *block {
 	blk := &block{
 		l:       l,
-		id:      id,
 		shared:  make([]byte, l.SharedBytes),
 		scratch: make([]uint64, 0, l.WarpSize),
-	}
-	noPop := len(l.Prog.Instrs) + 1 // sentinel rpc that never matches
-	fullMask := uint32(1)<<l.WarpSize - 1
-	if l.WarpSize == 32 {
-		fullMask = ^uint32(0)
 	}
 	for w := 0; w < warpsPerBlock; w++ {
 		blk.warps = append(blk.warps, &warp{
 			id:    w,
 			regs:  make([]uint64, l.WarpSize*l.Prog.NumRegs),
 			preds: make([]bool, l.WarpSize*l.Prog.NumPreds),
-			stack: []stackEnt{{pc: 0, rpc: noPop, mask: fullMask}},
 		})
 	}
 	return blk
+}
+
+// reset readies b to run block id from the initial state: registers,
+// predicates and shared memory zeroed, and every warp live at PC 0 with
+// all lanes active.
+func (b *block) reset(id int) {
+	b.id = id
+	clear(b.shared)
+	noPop := len(b.l.Prog.Instrs) + 1 // sentinel rpc that never matches
+	fullMask := uint32(1)<<b.l.WarpSize - 1
+	if b.l.WarpSize == 32 {
+		fullMask = ^uint32(0)
+	}
+	for _, w := range b.warps {
+		clear(w.regs)
+		clear(w.preds)
+		w.stack = append(w.stack[:0], stackEnt{pc: 0, rpc: noPop, mask: fullMask})
+		w.done, w.atBar = false, false
+	}
 }
 
 // run executes the block to completion: each warp runs until it blocks at
@@ -293,19 +309,22 @@ func (b *block) runWarp(w *warp) error {
 			}
 		}
 
-		rec := trace.Rec{
+		// One record, owned by the block, is refilled for every
+		// instruction: a Sink may not retain it past Emit.
+		rec := &b.rec
+		*rec = trace.Rec{
 			PC:   int32(top.pc),
 			Op:   in.Op,
 			Mem:  in.Mem,
 			Dst:  isa.RegNone,
 			Mask: guarded,
 		}
-		b.fillDeps(&rec, in, numRegs)
+		b.fillDeps(rec, in, numRegs)
 
 		switch in.Op {
 		case isa.OpBra:
 			rec.Mask = top.mask
-			if err := b.sink.Emit(w.id, &rec); err != nil {
+			if err := b.sink.Emit(w.id, rec); err != nil {
 				return err
 			}
 			b.execBranch(w, in)
@@ -313,7 +332,7 @@ func (b *block) runWarp(w *warp) error {
 			continue
 
 		case isa.OpBar:
-			if err := b.sink.Emit(w.id, &rec); err != nil {
+			if err := b.sink.Emit(w.id, rec); err != nil {
 				return err
 			}
 			top.pc++
@@ -322,14 +341,14 @@ func (b *block) runWarp(w *warp) error {
 			continue
 
 		case isa.OpExit:
-			if err := b.sink.Emit(w.id, &rec); err != nil {
+			if err := b.sink.Emit(w.id, rec); err != nil {
 				return err
 			}
 			w.done = true
 			return nil
 
 		case isa.OpLdG, isa.OpStG:
-			if err := b.execGlobal(w, in, guarded, &rec); err != nil {
+			if err := b.execGlobal(w, in, guarded, rec); err != nil {
 				return err
 			}
 
@@ -342,7 +361,7 @@ func (b *block) runWarp(w *warp) error {
 			b.execALU(w, in, guarded)
 		}
 
-		if err := b.sink.Emit(w.id, &rec); err != nil {
+		if err := b.sink.Emit(w.id, rec); err != nil {
 			return err
 		}
 		top.pc++
@@ -366,7 +385,8 @@ func (b *block) fillDeps(rec *trace.Rec, in *isa.Instr, numRegs int) {
 			rec.NumSrcs++
 		}
 	}
-	for _, r := range in.SrcRegs(nil) {
+	var buf [3]isa.Reg // SrcRegs yields at most three registers
+	for _, r := range in.SrcRegs(buf[:0]) {
 		add(r)
 	}
 	if in.Pred != isa.PredNone {

@@ -4,7 +4,7 @@
 // simulation (Table IV) — only pays off operationally when the traced
 // kernels stay resident and each query reuses them; a Server keeps one
 // gpumech.Session per (kernel, blocks) and serves evaluations from the
-// shared profile memo.
+// session's shared prep memo.
 //
 // Endpoints:
 //

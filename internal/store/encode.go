@@ -1,11 +1,12 @@
 package store
 
-// The on-disk entry format, version 1:
+// The on-disk entry format, version 2:
 //
 //	magic   "GMPF" (4 bytes)
 //	version uint16 little-endian
 //	header  uvarint length + gob(entryHeader) — the key, the session
-//	        metadata, the profile's simulation config, section counts
+//	        metadata, the profile's simulation config, the Clustering,
+//	        Max and Min representatives, section counts
 //	body    hand-rolled binary sections (see below)
 //	trailer SHA-256 (32 bytes) of every preceding byte, magic included
 //
@@ -14,7 +15,13 @@ package store
 // decoded profile is bit-identical to the one encoded — the foundation
 // of the store's byte-identical-responses guarantee), and the per-PC
 // map sorted by PC so the bytes of an entry are a deterministic
-// function of its content.
+// function of its content. Its sections are the cache profile, the PC
+// table, and the interval profiles of the distinct representatives in
+// ascending warp order; no other warp's profile is stored.
+//
+// The version is part of the hashed key (Key.canonical), so a reader
+// never opens a file written in another version: such a directory reads
+// as all misses and is rebuilt entry by entry.
 //
 // Readers stream the file once through a SHA-256 tee and compare the
 // trailer at the end; any mismatch — including truncation, a flipped
@@ -38,7 +45,7 @@ import (
 	"gpumech/internal/isa"
 )
 
-const formatVersion = 1
+const formatVersion = 2
 
 var magic = [4]byte{'G', 'M', 'P', 'F'}
 
@@ -49,9 +56,11 @@ type entryHeader struct {
 	TotalInsts int64
 	Cfg        config.Config // the profile's simulation configuration
 	Rep        int
+	MaxRep     int
+	MinRep     int
 	NumPCs     int
 	TableLen   int
-	NumWarps   int // warp profiles in the body
+	NumWarps   int // length of the index-aligned WarpProfiles
 }
 
 // maxSectionItems bounds every count decoded from an entry before any
@@ -59,11 +68,33 @@ type entryHeader struct {
 // an out-of-memory abort.
 const maxSectionItems = 1 << 26
 
-// encodeEntry writes e to w and returns the byte count written.
+// encodeEntry writes the slim entry e (see Entry.Slim) to w and returns
+// the byte count written.
 func encodeEntry(w io.Writer, e *Entry) (int64, error) {
 	if e.Profile == nil || e.Table == nil {
 		return 0, errors.New("store: entry missing profile or table")
 	}
+	var body []*interval.Profile
+	for _, r := range e.reps() {
+		body = append(body, e.WarpProfiles[r])
+	}
+	return writeEntry(w, entryHeader{
+		Key:        e.Key,
+		Warps:      e.Warps,
+		TotalInsts: e.TotalInsts,
+		Cfg:        e.Profile.Cfg,
+		Rep:        e.Rep,
+		MaxRep:     e.MaxRep,
+		MinRep:     e.MinRep,
+		NumPCs:     len(e.Profile.PCs),
+		TableLen:   len(e.Table.Latency),
+		NumWarps:   len(e.WarpProfiles),
+	}, e.Profile, e.Table, body)
+}
+
+// writeEntry frames one entry: magic, version, hdr, the profile and
+// table sections, the given warp profiles, and the checksum trailer.
+func writeEntry(w io.Writer, hdr entryHeader, prof *cache.Profile, table *interval.PCTable, warps []*interval.Profile) (int64, error) {
 	h := sha256.New()
 	cw := &countingWriter{w: io.MultiWriter(w, h)}
 	bw := bufio.NewWriter(cw)
@@ -77,16 +108,6 @@ func encodeEntry(w io.Writer, e *Entry) (int64, error) {
 		return 0, err
 	}
 
-	hdr := entryHeader{
-		Key:        e.Key,
-		Warps:      e.Warps,
-		TotalInsts: e.TotalInsts,
-		Cfg:        e.Profile.Cfg,
-		Rep:        e.Rep,
-		NumPCs:     len(e.Profile.PCs),
-		TableLen:   len(e.Table.Latency),
-		NumWarps:   len(e.WarpProfiles),
-	}
 	var hb bytes.Buffer
 	if err := gob.NewEncoder(&hb).Encode(&hdr); err != nil {
 		return 0, fmt.Errorf("store: encoding header: %w", err)
@@ -96,9 +117,9 @@ func encodeEntry(w io.Writer, e *Entry) (int64, error) {
 		return 0, err
 	}
 
-	encodeProfile(bw, e.Profile)
-	encodeTable(bw, e.Table)
-	for _, p := range e.WarpProfiles {
+	encodeProfile(bw, prof)
+	encodeTable(bw, table)
+	for _, p := range warps {
 		encodeWarpProfile(bw, p)
 	}
 	if err := bw.Flush(); err != nil {
@@ -163,6 +184,14 @@ func decodeEntry(r io.Reader) (*Entry, int64, error) {
 		Warps:      hdr.Warps,
 		TotalInsts: hdr.TotalInsts,
 		Rep:        hdr.Rep,
+		MaxRep:     hdr.MaxRep,
+		MinRep:     hdr.MinRep,
+	}
+	reps := e.reps()
+	for _, r := range reps {
+		if r < 0 || r >= hdr.NumWarps {
+			return nil, 0, fmt.Errorf("store: representative %d out of range (%d warps)", r, hdr.NumWarps)
+		}
 	}
 	if e.Profile, err = decodeProfile(br, hdr.Cfg, hdr.NumPCs); err != nil {
 		return nil, 0, err
@@ -171,13 +200,10 @@ func decodeEntry(r io.Reader) (*Entry, int64, error) {
 		return nil, 0, err
 	}
 	e.WarpProfiles = make([]*interval.Profile, hdr.NumWarps)
-	for i := range e.WarpProfiles {
-		if e.WarpProfiles[i], err = decodeWarpProfile(br); err != nil {
-			return nil, 0, fmt.Errorf("store: warp profile %d: %w", i, err)
+	for _, r := range reps {
+		if e.WarpProfiles[r], err = decodeWarpProfile(br); err != nil {
+			return nil, 0, fmt.Errorf("store: warp profile %d: %w", r, err)
 		}
-	}
-	if hdr.Rep < 0 || (hdr.NumWarps > 0 && hdr.Rep >= hdr.NumWarps) {
-		return nil, 0, fmt.Errorf("store: representative %d out of range (%d warps)", hdr.Rep, hdr.NumWarps)
 	}
 
 	// The body must end exactly where the trailer begins: one more

@@ -1,7 +1,7 @@
 // Package store implements the content-addressed, disk-backed profile
 // store: the persistence layer for a session's structural prep — the
-// cache profile, per-PC latency table, per-warp interval profiles, and
-// clustering representative that GPUMech computes once per (kernel,
+// cache profile, per-PC latency table, and the representative warps
+// with their interval profiles, which GPUMech computes once per (kernel,
 // grid, cache geometry) and then reuses for every evaluation.
 //
 // Building that prep is the dominant cost of serving (the serve latency
@@ -31,9 +31,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
+	"gpumech/internal/core/cluster"
 	"gpumech/internal/core/interval"
 	"gpumech/internal/obs"
 )
@@ -104,14 +106,64 @@ type Entry struct {
 	Warps      int
 	TotalInsts int64
 
-	Profile      *cache.Profile
-	Table        *interval.PCTable
+	Profile *cache.Profile
+	Table   *interval.PCTable
+
+	// WarpProfiles is index-aligned with the kernel's warps. Only the
+	// representatives' profiles are stored, so an entry from Get (or
+	// Slim) holds those and nil everywhere else. An entry handed to Put
+	// may instead carry every warp's profile.
 	WarpProfiles []*interval.Profile
 
-	// Rep is the clustering-selected representative warp (the paper's
-	// default method). Max/Min selection is recomputed from
-	// WarpProfiles on demand; only clustering is worth persisting.
-	Rep int
+	// Rep, MaxRep and MinRep are the representative warps under the
+	// Clustering, Max and Min selection methods. Slim (and so Put)
+	// derives MaxRep and MinRep when WarpProfiles is complete; k-means
+	// is the caller's.
+	Rep    int
+	MaxRep int
+	MinRep int
+}
+
+// RepFor returns the representative warp under selection method m.
+func (e *Entry) RepFor(m cluster.Method) (int, error) {
+	switch m {
+	case cluster.Clustering:
+		return e.Rep, nil
+	case cluster.Max:
+		return e.MaxRep, nil
+	case cluster.Min:
+		return e.MinRep, nil
+	}
+	return 0, fmt.Errorf("store: unknown selection method %v", m)
+}
+
+// Slim derives MaxRep and MinRep if WarpProfiles is complete, then drops
+// every profile that is not a representative's: the entry the
+// per-request model stages read, a few kilobytes where every warp's
+// profiles are megabytes. It fails if a representative has no profile.
+func (e *Entry) Slim() error {
+	if len(e.WarpProfiles) > 0 && !slices.Contains(e.WarpProfiles, nil) {
+		// Neither selection can fail on a non-empty, nil-free set.
+		e.MaxRep, _ = cluster.Select(e.WarpProfiles, cluster.Max)
+		e.MinRep, _ = cluster.Select(e.WarpProfiles, cluster.Min)
+	}
+	slim := make([]*interval.Profile, len(e.WarpProfiles))
+	for _, r := range e.reps() {
+		if r < 0 || r >= len(e.WarpProfiles) || e.WarpProfiles[r] == nil {
+			return fmt.Errorf("store: representative warp %d has no profile (%d warps)", r, len(e.WarpProfiles))
+		}
+		slim[r] = e.WarpProfiles[r]
+	}
+	e.WarpProfiles = slim
+	return nil
+}
+
+// reps returns the distinct representative warps in ascending order,
+// the order the format stores their profiles in.
+func (e *Entry) reps() []int {
+	rs := []int{e.Rep, e.MaxRep, e.MinRep}
+	slices.Sort(rs)
+	return slices.Compact(rs)
 }
 
 // Store is a handle on one profile-store directory. It is safe for
@@ -183,15 +235,22 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 // synced to a temp file in the store directory, then renamed into
 // place. Concurrent writers of the same key race benignly — the key is
 // a pure function of the inputs, so both write identical content and
-// either rename wins. A reader never observes a partial entry.
+// either rename wins. A reader never observes a partial entry. Put sets
+// e.Key and writes the slim form of e (see Slim), so a representative
+// without a profile fails the Put.
 func (s *Store) Put(k Key, e *Entry) error {
 	e.Key = k
+	slim := *e
+	if err := slim.Slim(); err != nil {
+		s.obs.Counter("store.put_errors").Inc()
+		return err
+	}
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
 		s.obs.Counter("store.put_errors").Inc()
 		return fmt.Errorf("store: %w", err)
 	}
-	n, err := encodeEntry(tmp, e)
+	n, err := encodeEntry(tmp, &slim)
 	if err == nil {
 		err = tmp.Sync()
 	}

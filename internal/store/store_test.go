@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
+	"gpumech/internal/core/cluster"
 	"gpumech/internal/core/interval"
 	"gpumech/internal/isa"
 	"gpumech/internal/obs"
@@ -48,8 +50,11 @@ func testEntry(k Key) *Entry {
 			{Insts: 64, StallCycles: 5e-324, MemInsts: 1, MSHRReqs: 1, CausePC: 7},
 		}},
 	}
+	// MaxRep and MinRep are what Put derives from the two profiles, and
+	// together with Rep they cover both warps, so the entry Get returns
+	// is this one exactly.
 	return &Entry{Key: k, Warps: 2, TotalInsts: 128,
-		Profile: prof, Table: table, WarpProfiles: warps, Rep: 1}
+		Profile: prof, Table: table, WarpProfiles: warps, Rep: 1, MaxRep: 1, MinRep: 0}
 }
 
 // math_Copysign0 returns negative zero without tripping any constant
@@ -130,11 +135,24 @@ func TestStoreDefectsDegradeToMiss(t *testing.T) {
 	}()
 
 	versionSkewed := append([]byte(nil), clean...)
-	versionSkewed[4], versionSkewed[5] = 0x02, 0x00 // claim format version 2
+	binary.LittleEndian.PutUint16(versionSkewed[4:6], formatVersion+1) // a version from the future
 	// Recompute the trailer so the version field, not the checksum, is
 	// what the reader rejects.
 	sum := sha256.Sum256(versionSkewed[:len(versionSkewed)-sha256.Size])
 	copy(versionSkewed[len(versionSkewed)-sha256.Size:], sum[:])
+
+	// A header naming a representative past the last warp, framed with
+	// a valid checksum so the range check, not the digest, rejects it.
+	badRep := func() []byte {
+		e := testEntry(k)
+		var buf bytes.Buffer
+		if _, err := writeEntry(&buf, entryHeader{Key: k, Warps: 2, TotalInsts: 128,
+			Cfg: e.Profile.Cfg, Rep: 1, MaxRep: 1, MinRep: 2, NumPCs: len(e.Profile.PCs),
+			TableLen: len(e.Table.Latency), NumWarps: 2}, e.Profile, e.Table, e.WarpProfiles); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}()
 
 	badKeyFile := func() []byte {
 		s, _ := openTestStore(t)
@@ -153,6 +171,7 @@ func TestStoreDefectsDegradeToMiss(t *testing.T) {
 		{"missing last byte", clean[:len(clean)-1]},
 		{"bad magic", append([]byte("JUNK"), clean[4:]...)},
 		{"version skew", versionSkewed},
+		{"representative out of range", badRep},
 		{"flipped payload bit", flip(clean, 8)},
 		{"flipped body bit", flip(clean, len(clean)/2)},
 		{"flipped checksum bit", flip(clean, len(clean)-1)},
@@ -193,6 +212,85 @@ func flip(b []byte, i int) []byte {
 	c := append([]byte(nil), b...)
 	c[i] ^= 0x01
 	return c
+}
+
+// TestStoreKeepsOnlyRepresentatives puts every warp's profile and checks
+// that Put derives the Max and Min representatives, that exactly the
+// three representatives' profiles come back (index-aligned, nil
+// elsewhere, bit-identical), and that a slim entry re-puts to the same
+// bytes.
+func TestStoreKeepsOnlyRepresentatives(t *testing.T) {
+	s, _ := openTestStore(t)
+	k := testKey()
+	full := testEntry(k)
+	base := full.WarpProfiles[0]
+	full.WarpProfiles = nil
+	for i, stall := range []float64{50, 900, 50, 0, 50} {
+		p := *base
+		p.Stall = stall
+		p.Insts += i // distinct profiles, so a misplaced one shows
+		full.WarpProfiles = append(full.WarpProfiles, &p)
+	}
+	full.Warps, full.Rep, full.MaxRep, full.MinRep = 5, 2, 0, 0
+	raw := mustPut(t, s, k, full)
+
+	got, ok := s.Get(k)
+	if !ok {
+		t.Fatal("Get missed a just-written entry")
+	}
+	if got.Rep != 2 || got.MaxRep != 3 || got.MinRep != 1 {
+		t.Errorf("representatives Rep=%d MaxRep=%d MinRep=%d, want 2, 3, 1", got.Rep, got.MaxRep, got.MinRep)
+	}
+	if len(got.WarpProfiles) != 5 {
+		t.Fatalf("got %d warp slots, want 5", len(got.WarpProfiles))
+	}
+	for i, p := range got.WarpProfiles {
+		if rep := i == 1 || i == 2 || i == 3; rep != (p != nil) {
+			t.Errorf("warp %d: profile present=%v, want %v", i, p != nil, rep)
+		} else if rep && !reflect.DeepEqual(p, full.WarpProfiles[i]) {
+			t.Errorf("warp %d: profile differs after the round trip", i)
+		}
+	}
+
+	slim := *full
+	if err := slim.Slim(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&slim, got) {
+		t.Errorf("Slim differs from the entry Get returns:\n slim %+v\n  got %+v", slim, got)
+	}
+	if again := mustPut(t, s, k, got); !bytes.Equal(again, raw) {
+		t.Errorf("re-putting the slim entry changed the bytes (%d vs %d)", len(again), len(raw))
+	}
+	for m, want := range map[cluster.Method]int{cluster.Clustering: 2, cluster.Max: 3, cluster.Min: 1} {
+		if r, err := got.RepFor(m); err != nil || r != want {
+			t.Errorf("RepFor(%v) = %d, %v; want %d", m, r, err, want)
+		}
+	}
+	if _, err := got.RepFor(cluster.Method(99)); err == nil {
+		t.Error("RepFor accepted an unknown method")
+	}
+}
+
+// TestStorePutMissingRepresentativeFails pins that an entry whose
+// representative has no profile is refused, leaving no file behind.
+func TestStorePutMissingRepresentativeFails(t *testing.T) {
+	s, reg := openTestStore(t)
+	k := testKey()
+	e := testEntry(k)
+	e.WarpProfiles[e.MinRep] = nil
+	if err := s.Put(k, e); err == nil {
+		t.Fatal("Put accepted an entry missing the Min representative's profile")
+	}
+	if n := reg.Counter("store.put_errors").Value(); n != 1 {
+		t.Errorf("store.put_errors = %d, want 1", n)
+	}
+	if n, err := s.Len(); err != nil || n != 0 {
+		t.Errorf("Len = %d, %v; want 0, nil", n, err)
+	}
+	if err := e.Slim(); err == nil {
+		t.Error("Slim accepted an entry missing a representative's profile")
+	}
 }
 
 // TestStoreTruncationSweep brute-forces every prefix length of a valid

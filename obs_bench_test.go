@@ -16,7 +16,7 @@ func benchEstimate(b *testing.B, o *Observer) {
 		b.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	if _, err := sess.Estimate(cfg, RR); err != nil { // warm the cache-profile memo
+	if _, err := sess.Estimate(cfg, RR); err != nil { // warm the prep memo
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

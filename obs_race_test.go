@@ -11,7 +11,7 @@ import (
 
 // TestConcurrentSessionWithMetrics hammers one Session from many
 // goroutines with a shared live observer — estimates under both policies,
-// baselines and oracle runs all racing on the cache-profile memo, the
+// baselines and oracle runs all racing on the prep memo, the
 // metrics registry and the span tree. Run under -race this is the
 // concurrency proof for the instrumented pipeline.
 func TestConcurrentSessionWithMetrics(t *testing.T) {
