@@ -24,6 +24,7 @@ import (
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
 	"gpumech/internal/core/model"
+	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs/obsflag"
 	"gpumech/internal/trace"
@@ -72,13 +73,20 @@ func main() {
 		sp := observer.StartSpan("trace")
 		sp.SetStr("kernel", *kernel)
 		start := time.Now()
-		tr, err = info.Trace(kernels.Scale{Blocks: *blocks, Seed: *seed}, cfg.L1LineBytes)
+		l, err := info.EmuLaunch(kernels.Scale{Blocks: *blocks, Seed: *seed}, cfg.L1LineBytes)
 		if err != nil {
+			sp.End()
+			fail(err)
+		}
+		var st emu.Stats
+		l.Stats = &st
+		if tr, err = emu.Run(l); err != nil {
 			sp.End()
 			fail(err)
 		}
 		observer.ObserveSince("stage.trace.seconds", start)
 		sp.SetInt("instructions", tr.TotalInsts())
+		st.Observe(sp, observer)
 		sp.End()
 	}
 	if *save != "" {

@@ -12,8 +12,9 @@ import (
 // TestColumnarPathByteIdentical pins the tentpole equivalence claim of the
 // columnar trace format: for every paper kernel and both policies, the
 // model's output is byte-for-byte identical whether the trace reaches the
-// pipeline as rows from the row emulator, as a session's column-first
-// emulation, as a columnar v2 file streamed through cursors, or as a
+// pipeline as rows from the sequential row emulator, as a session's
+// column-first emulation (over parallel block ranges, at the default
+// worker count), as a columnar v2 file streamed through cursors, or as a
 // legacy v1 gob file. Any divergence between the trace builders or the
 // storage layouts — decode drift, cursor ordering, lost record fields —
 // fails here before it can move a golden figure.
@@ -38,11 +39,8 @@ func TestColumnarPathByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, err := info.Trace(kernels.Scale{Blocks: DefaultBlocks(info.WarpsPerBlock), Seed: 1}, DefaultConfig().L1LineBytes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sess, err := NewSession(name) // a fresh column-first emulation
+			rows := sequentialRows(t, info, DefaultBlocks(info.WarpsPerBlock))
+			sess, err := NewSession(name) // a fresh column-first, parallel emulation
 			if err != nil {
 				t.Fatal(err)
 			}

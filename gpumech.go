@@ -31,6 +31,7 @@ import (
 	"gpumech/internal/core/cluster"
 	"gpumech/internal/core/cpistack"
 	"gpumech/internal/core/model"
+	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/store"
@@ -167,9 +168,11 @@ func WithBlocks(n int) Option { return func(o *sessionOpts) { o.blocks = n } }
 // WithSeed sets the synthetic-input seed (default 1).
 func WithSeed(seed int64) Option { return func(o *sessionOpts) { o.seed = seed } }
 
-// WithWorkers bounds the goroutines one estimate fans out across warps
-// (default: GPUMECH_WORKERS, then GOMAXPROCS; 1 forces the sequential
-// path). Estimates are byte-identical at any worker count.
+// WithWorkers bounds the goroutines one estimate fans out across warps,
+// and the block ranges the emulator runs concurrently when the session
+// traces its kernel (default: GPUMECH_WORKERS, then GOMAXPROCS; 1 forces
+// the sequential path). Traces and estimates are byte-identical at any
+// worker count.
 func WithWorkers(n int) Option { return func(o *sessionOpts) { o.workers = n } }
 
 // WithTraceCache points the session at a directory of reusable columnar
@@ -389,7 +392,7 @@ func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 	sp := o.StartSpan("trace")
 	sp.SetStr("kernel", s.name)
 	start := time.Now()
-	tr, err := buildTrace(s.info, s.blocks, s.seed, s.line, s.traceCacheDir)
+	tr, st, err := buildTrace(s.info, s.blocks, s.seed, s.line, s.workers, s.traceCacheDir)
 	if err != nil {
 		sp.End()
 		s.lazy.err = err
@@ -399,6 +402,9 @@ func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 	sp.SetInt("blocks", int64(tr.Blocks))
 	sp.SetInt("warps", int64(len(tr.Warps)))
 	sp.SetInt("instructions", tr.TotalInsts())
+	if st != nil {
+		st.Observe(sp, o)
+	}
 	sp.End()
 	if o != nil && o.Metrics != nil {
 		o.Counter("trace.kernels").Inc()
@@ -414,28 +420,39 @@ func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 // buildTrace produces a columnar kernel trace: straight from the
 // emulator by default, or through the columnar trace cache when one is
 // configured. Columnar is a quarter the size of rows, and once prep is
-// memoized the trace is the largest thing a session holds.
-func buildTrace(info *kernels.Info, blocks int, seed int64, line int, cacheDir string) (*trace.Kernel, error) {
+// memoized the trace is the largest thing a session holds. The emulator
+// runs blocks on up to workers goroutines (resolved by parallel.Workers);
+// the stats say how, and are nil when a cached trace was loaded instead.
+func buildTrace(info *kernels.Info, blocks int, seed int64, line, workers int, cacheDir string) (*trace.Kernel, *emu.Stats, error) {
 	scale := kernels.Scale{Blocks: blocks, Seed: seed}
-	if cacheDir == "" {
-		return info.TraceColumnar(scale, line)
+	path := ""
+	if cacheDir != "" {
+		path = filepath.Join(cacheDir,
+			fmt.Sprintf("%s_b%d_s%d_l%d.trace", info.Name, blocks, seed, line))
+		if tr, err := trace.LoadStream(path); err == nil && tr.Name == info.Name {
+			return tr, nil, nil
+		}
 	}
-	path := filepath.Join(cacheDir,
-		fmt.Sprintf("%s_b%d_s%d_l%d.trace", info.Name, blocks, seed, line))
-	if tr, err := trace.LoadStream(path); err == nil && tr.Name == info.Name {
-		return tr, nil
-	}
-	tr, err := info.TraceColumnar(scale, line)
+	l, err := info.EmuLaunch(scale, line)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	st := new(emu.Stats)
+	l.Workers, l.Stats = workers, st
+	tr, err := emu.RunColumnar(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	if path == "" {
+		return tr, st, nil
 	}
 	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		return nil, fmt.Errorf("gpumech: trace cache: %w", err)
+		return nil, nil, fmt.Errorf("gpumech: trace cache: %w", err)
 	}
 	if err := tr.Save(path); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return tr, nil
+	return tr, st, nil
 }
 
 // NewSessionFromTraceFile opens a session over a saved trace file instead

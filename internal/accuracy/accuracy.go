@@ -23,6 +23,7 @@ import (
 	"gpumech/internal/core/cpistack"
 	"gpumech/internal/core/interval"
 	"gpumech/internal/core/model"
+	"gpumech/internal/emu"
 	"gpumech/internal/gen"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
@@ -206,15 +207,32 @@ type kernelSpec struct {
 	gen  *gen.Kernel // nil for registry kernels
 }
 
-func (s *kernelSpec) trace(opt *Options, lineBytes int) (*trace.Kernel, error) {
+// launch builds the kernel's emulator launch. The sweep already runs one
+// kernel per worker, so the emulator runs each kernel's blocks
+// sequentially rather than nesting block ranges inside the fan-out.
+func (s *kernelSpec) launch(opt *Options, lineBytes int) (emu.Launch, error) {
+	var l emu.Launch
 	if s.gen != nil {
-		return s.gen.Trace(lineBytes)
+		l = s.gen.Launch(lineBytes)
+	} else {
+		info, err := kernels.Get(s.name)
+		if err != nil {
+			return l, err
+		}
+		if l, err = info.EmuLaunch(kernels.Scale{Blocks: opt.blocksFor(info), Seed: opt.Seed}, lineBytes); err != nil {
+			return l, err
+		}
 	}
-	info, err := kernels.Get(s.name)
+	l.Workers = 1
+	return l, nil
+}
+
+func (s *kernelSpec) trace(opt *Options, lineBytes int) (*trace.Kernel, error) {
+	l, err := s.launch(opt, lineBytes)
 	if err != nil {
 		return nil, err
 	}
-	return info.TraceColumnar(kernels.Scale{Blocks: opt.blocksFor(info), Seed: opt.Seed}, lineBytes)
+	return emu.RunColumnar(l)
 }
 
 // Run executes the differential sweep and builds the report.

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"gpumech/internal/config"
+	"gpumech/internal/emu"
+	"gpumech/internal/gen"
 )
 
 // smallOpts is a fast sweep for structural tests: two registry kernels
@@ -212,5 +214,33 @@ func TestPolicyFilter(t *testing.T) {
 	}
 	if len(rep.Summaries) != 1 {
 		t.Fatalf("got %d summaries, want 1", len(rep.Summaries))
+	}
+}
+
+// TestKernelsEmulateSequentially: the sweep runs one kernel per worker,
+// so at any worker count each kernel's emulation runs its blocks
+// sequentially, for registry and generated kernels alike.
+func TestKernelsEmulateSequentially(t *testing.T) {
+	gk, err := gen.Generate(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gk.Blocks = 8
+	for _, workers := range []int{1, 4} {
+		opt := Options{Blocks: 8, Seed: 1, Workers: workers}
+		for _, spec := range []*kernelSpec{{name: "sdk_vectoradd"}, {name: gk.Name, gen: gk}} {
+			l, err := spec.launch(&opt, 128)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st emu.Stats
+			l.Stats = &st
+			if _, err := emu.RunColumnar(l); err != nil {
+				t.Fatal(err)
+			}
+			if st.Workers != 1 {
+				t.Errorf("%s at Workers %d: emulated over %d block ranges, want 1", spec.name, workers, st.Workers)
+			}
+		}
 	}
 }

@@ -1,12 +1,14 @@
 package check_test
 
 import (
+	"bytes"
 	"testing"
 
 	"gpumech/internal/check"
 	"gpumech/internal/emu"
 	"gpumech/internal/gen"
 	"gpumech/internal/isa"
+	"gpumech/internal/memory"
 )
 
 // decodeProgram derives a structurally plausible program from fuzz
@@ -36,7 +38,13 @@ func decodeProgram(data []byte) *isa.Program {
 		} else {
 			in.Pred = isa.PredNone
 		}
-		in.Pred2 = isa.PredReg(b[4] % numPreds)
+		in.Pred2 = isa.PredNone
+		if in.Op == isa.OpPAnd {
+			// Only pand reads a second predicate; on any other op it
+			// would be a read of a predicate nothing wrote, which the
+			// checker rightly rejects.
+			in.Pred2 = isa.PredReg(b[4] % numPreds)
+		}
 		in.Cmp = isa.Cmp(b[7] % 6)
 		in.Mem = isa.MemType(b[7] % 5)
 		in.Target = int(b[6]) % (n + 1)
@@ -92,12 +100,27 @@ func encodeSeed(prog *isa.Program) []byte {
 // accepts (no error-severity findings) must emulate without panicking.
 // Runtime errors (trace budget, barrier timeout) remain legal outcomes;
 // crashing is not.
+//
+// It is also the parallel emulator's differential target. The launch has
+// four blocks and runs sequentially, at two workers in columnar layout
+// and at three in row layout: every run must return the same error text,
+// or else the same trace encoding and the same final memory. Random
+// programs load and store at lane- and block-dependent addresses, so one
+// block range often reads what an earlier one wrote, and the sequential
+// fallback is exercised here as no bundled kernel exercises it.
 func FuzzEmuAcceptsVerifiedPrograms(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 1, 2, 3, 0, 4, 0})                                          // movi
 	f.Add([]byte{byte(isa.OpBra), 0, 0, 0, 0, 0x81, 1, 1, 2, 0, 1, 2, 3, 0, 4, 0}) // guarded bra
 	f.Add([]byte{byte(isa.OpBar), 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{byte(isa.OpLdS), 1, 2, 0, 0, 0, 8, 0})
+	// Block 1 reads the word block 0 stores: r1 = ctaid, then
+	// st.global [r1] <- r1 and ld.global r2 <- [r1-1].
+	f.Add([]byte{
+		byte(isa.OpS2R), 1, 0, 0, 0, 0, byte(isa.SrCtaid), 0,
+		byte(isa.OpStG), 0, 1, 1, 0, 0, 0, 2,
+		byte(isa.OpLdG), 2, 1, 0, 0, 0, 0xff, 2,
+	})
 	// Generator-driven seeds: every template of internal/gen (straight
 	// line, if/else with reconvergence, counted loop, barrier phases),
 	// folded down to the fuzz format. One seed per stream index covers
@@ -114,18 +137,53 @@ func FuzzEmuAcceptsVerifiedPrograms(f *testing.F) {
 		if err := prog.Validate(); err != nil {
 			return
 		}
-		launch := &check.LaunchInfo{Blocks: 1, ThreadsPerBlock: 64, SharedBytes: 256}
+		launch := &check.LaunchInfo{Blocks: 4, ThreadsPerBlock: 64, SharedBytes: 256}
 		fs := check.Verify(prog, check.Options{Launch: launch})
 		if fs.Err() != nil {
 			return // checker rejected it; nothing to assert
 		}
-		// Checker-accepted: the emulator must not panic. Errors are fine.
-		_, _ = emu.Run(emu.Launch{
-			Prog:            prog,
-			Blocks:          1,
-			ThreadsPerBlock: 64,
-			SharedBytes:     256,
-			MaxRecs:         100_000,
-		})
+		// Checker-accepted: the emulator must not panic. Errors are fine,
+		// but the worker count must not change any outcome.
+		run := func(workers int, columnar bool) (enc []byte, mem *memory.Memory, err error) {
+			emulate := emu.Run
+			if columnar {
+				emulate = emu.RunColumnar
+			}
+			mem = memory.New()
+			k, err := emulate(emu.Launch{
+				Prog:            prog,
+				Blocks:          launch.Blocks,
+				ThreadsPerBlock: launch.ThreadsPerBlock,
+				SharedBytes:     launch.SharedBytes,
+				Mem:             mem,
+				MaxRecs:         100_000,
+				Workers:         workers,
+			})
+			if err != nil {
+				return nil, mem, err
+			}
+			var buf bytes.Buffer
+			if err := k.Encode(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes(), mem, nil
+		}
+		seqEnc, seqMem, seqErr := run(1, true)
+		for _, leg := range []struct {
+			workers  int
+			columnar bool
+		}{{2, true}, {3, false}} {
+			parEnc, parMem, parErr := run(leg.workers, leg.columnar)
+			switch {
+			case seqErr != nil || parErr != nil:
+				if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
+					t.Fatalf("errors differ: 1 worker %v, %d workers %v", seqErr, leg.workers, parErr)
+				}
+			case !bytes.Equal(seqEnc, parEnc):
+				t.Fatalf("trace encodings differ between 1 and %d workers", leg.workers)
+			case !seqMem.Equal(parMem):
+				t.Fatalf("final memory differs between 1 and %d workers", leg.workers)
+			}
+		}
 	})
 }

@@ -6,21 +6,37 @@
 // memory line addresses.
 //
 // The emulator has no timing: warps within a block run to the next barrier
-// in turn, and blocks run sequentially. Kernels must not communicate
-// between blocks, and barriers must be reached by every live warp of a
-// block (the structured builders in internal/isa guarantee this for the
-// bundled kernels).
+// in turn. Kernels must not communicate between blocks, and barriers must
+// be reached by every live warp of a block (the structured builders in
+// internal/isa guarantee this for the bundled kernels).
+//
+// Run and RunColumnar split the grid into one contiguous block range per
+// worker and emulate the ranges concurrently, each over a private
+// copy-on-write overlay of global memory (memory.Overlay). The result is
+// exactly the sequential emulator's: the ranges' warps are spliced in
+// launch order and their written bytes replayed into the launch memory in
+// range order, and a launch is rerun sequentially from its untouched
+// memory when a range read a 64-byte chunk an earlier range wrote, when
+// any range failed, or when the ranges together ran out of the record
+// budget.
+// RunSink, which streams into one caller-supplied sink, always runs the
+// blocks in order.
 package emu
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"gpumech/internal/check"
 	"gpumech/internal/coalesce"
 	"gpumech/internal/isa"
 	"gpumech/internal/memory"
+	"gpumech/internal/obs"
+	"gpumech/internal/parallel"
 	"gpumech/internal/trace"
 )
 
@@ -40,6 +56,58 @@ type Launch struct {
 	// exists for tests and fuzzers that deliberately feed programs the
 	// checker rejects.
 	SkipVerify bool
+
+	// Workers bounds the block ranges Run and RunColumnar emulate
+	// concurrently: 0 resolves through parallel.Workers (GPUMECH_WORKERS,
+	// then GOMAXPROCS) and 1 runs the sequential emulator. Traces, final
+	// memory and errors are identical at any count. RunSink ignores it.
+	Workers int
+
+	// Stats, when non-nil, receives how Run or RunColumnar emulated the
+	// launch.
+	Stats *Stats
+}
+
+// Stats reports how Run or RunColumnar emulated a launch.
+type Stats struct {
+	Workers  int      // block ranges emulated concurrently; 1 is the sequential emulator
+	Fallback Fallback // why a concurrent run was discarded for a sequential one
+}
+
+// Fallback names why a concurrent emulation was discarded and the launch
+// rerun sequentially.
+type Fallback uint8
+
+const (
+	FallbackNone     Fallback = iota // the concurrent run stood, or none was tried
+	FallbackConflict                 // a range read a chunk an earlier range wrote
+	FallbackError                    // a range failed
+	FallbackBudget                   // the ranges together ran out of MaxRecs
+)
+
+// Observe records s on sp, the span of the trace that produced it, as
+// the workers and fallback attributes, and counts a fallback in o's
+// emu.fallbacks counter. sp and o may be nil.
+func (s *Stats) Observe(sp *obs.Span, o *obs.Observer) {
+	sp.SetInt("workers", int64(s.Workers))
+	sp.SetStr("fallback", s.Fallback.String())
+	if s.Fallback != FallbackNone && o != nil && o.Metrics != nil {
+		o.Counter("emu.fallbacks").Inc()
+	}
+}
+
+func (f Fallback) String() string {
+	switch f {
+	case FallbackNone:
+		return "none"
+	case FallbackConflict:
+		return "conflict"
+	case FallbackError:
+		return "error"
+	case FallbackBudget:
+		return "budget"
+	}
+	return fmt.Sprintf("fallback(%d)", int(f))
 }
 
 const defaultMaxRecs = 64 << 20
@@ -112,12 +180,27 @@ func runBuild(l Launch, columnar bool) (*trace.Kernel, error) {
 		WarpsPerBlock: l.ThreadsPerBlock / l.WarpSize,
 		LineBytes:     l.LineBytes,
 	}
-	var sink kernelSink
-	if columnar {
-		sink = trace.NewColKernelBuilder(meta)
-	} else {
-		sink = trace.NewRowBuilder(meta)
+	newSink := func() kernelSink {
+		if columnar {
+			return trace.NewColKernelBuilder(meta)
+		}
+		return trace.NewRowBuilder(meta)
 	}
+	st := Stats{Workers: min(parallel.Workers(l.Workers), l.Blocks)}
+	if l.Stats != nil {
+		defer func() { *l.Stats = st }()
+	}
+	if st.Workers > 1 {
+		if err := l.preflight(); err != nil {
+			return nil, err
+		}
+		var k *trace.Kernel
+		if k, st.Fallback = runRanges(&l, newSink, st.Workers); k != nil {
+			return k, nil
+		}
+		l.SkipVerify = true // the pre-flight passed above
+	}
+	sink := newSink()
 	if err := RunSink(l, sink); err != nil {
 		return nil, err
 	}
@@ -136,36 +219,173 @@ func RunSink(l Launch, sink trace.Sink) error {
 	if err := l.normalize(); err != nil {
 		return err
 	}
-	if !l.SkipVerify {
-		// Static pre-flight: reject programs the checker can prove broken
-		// (undefined registers, unbalanced reconvergence, divergent
-		// barriers, out-of-bounds shared accesses) before emulating them.
-		fs := check.Verify(l.Prog, check.Options{Launch: &check.LaunchInfo{
-			Blocks:          l.Blocks,
-			ThreadsPerBlock: l.ThreadsPerBlock,
-			WarpSize:        l.WarpSize,
-			SharedBytes:     l.SharedBytes,
-		}})
-		if err := fs.Err(); err != nil {
-			return fmt.Errorf("emu: pre-flight rejected %q: %w", l.Prog.Name, err)
-		}
+	if err := l.preflight(); err != nil {
+		return err
 	}
-
-	budget := l.MaxRecs
 	blk := newBlock(&l, l.ThreadsPerBlock/l.WarpSize)
-	blk.budget = &budget
+	blk.mem = l.Mem
+	blk.left = l.MaxRecs
 	blk.sink = sink
-	for b := 0; b < l.Blocks; b++ {
-		sink.BeginBlock(b)
-		blk.reset(b)
-		if err := blk.run(); err != nil {
+	return blk.runBlocks(0, l.Blocks)
+}
+
+// preflight runs the static checker over the launch unless SkipVerify is
+// set, rejecting programs it can prove broken (undefined registers,
+// unbalanced reconvergence, divergent barriers, out-of-bounds shared
+// accesses) before emulating them.
+func (l *Launch) preflight() error {
+	if l.SkipVerify {
+		return nil
+	}
+	fs := check.Verify(l.Prog, check.Options{Launch: &check.LaunchInfo{
+		Blocks:          l.Blocks,
+		ThreadsPerBlock: l.ThreadsPerBlock,
+		WarpSize:        l.WarpSize,
+		SharedBytes:     l.SharedBytes,
+	}})
+	if err := fs.Err(); err != nil {
+		return fmt.Errorf("emu: pre-flight rejected %q: %w", l.Prog.Name, err)
+	}
+	return nil
+}
+
+// runBlocks emulates blocks [lo, hi) in launch order into b's sink.
+func (b *block) runBlocks(lo, hi int) error {
+	for id := lo; id < hi; id++ {
+		b.sink.BeginBlock(id)
+		b.reset(id)
+		if err := b.run(); err != nil {
 			return err
 		}
-		if err := sink.EndBlock(); err != nil {
+		if err := b.sink.EndBlock(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Errors that end a block range early. Neither reaches a caller: either
+// makes runBuild rerun the launch sequentially, which reports the
+// sequential emulator's own error, if any.
+var (
+	errBudget  = errors.New("emu: block ranges ran out of the launch's record budget")
+	errAborted = errors.New("emu: block range stopped after another range failed")
+)
+
+// budgetPool is a launch's MaxRecs shared by its concurrent block ranges,
+// which draw from it in chunks, so a runaway kernel stops after MaxRecs
+// records in total rather than MaxRecs per range. aborted tells every
+// range to stop once one has failed.
+//
+// A chunk is at most budgetChunk records, so ranges touch the shared
+// counter once per thousands of records, and at most a quarter of one
+// range's fair share, so unspent chunks held by some ranges rarely run
+// the pool dry for a launch that fits in MaxRecs. When they do, the
+// launch only reruns sequentially.
+type budgetPool struct {
+	left    atomic.Int64
+	aborted atomic.Bool
+	chunk   int64
+}
+
+const budgetChunk = 4096
+
+// take draws up to p.chunk records from the pool, returning how many.
+func (p *budgetPool) take() int64 {
+	for {
+		left := p.left.Load()
+		if left <= 0 {
+			return 0
+		}
+		n := min(p.chunk, left)
+		if p.left.CompareAndSwap(left, left-n) {
+			return n
+		}
+	}
+}
+
+// blockRange is one worker's share of a concurrent launch: blocks
+// [lo, hi), emulated over a private overlay of the launch memory into a
+// sink of their own.
+type blockRange struct {
+	lo, hi int
+	ov     *memory.Overlay
+	k      *trace.Kernel
+	err    error
+}
+
+// runRanges emulates l's grid as workers contiguous block ranges in
+// parallel. It returns the spliced kernel, with the ranges' writes
+// committed to l.Mem, or nil and the reason the launch must instead run
+// sequentially; l.Mem is then untouched.
+func runRanges(l *Launch, newSink func() kernelSink, workers int) (*trace.Kernel, Fallback) {
+	pool := &budgetPool{chunk: max(1, min(budgetChunk, l.MaxRecs/int64(4*workers)))}
+	pool.left.Store(l.MaxRecs)
+	ranges := make([]blockRange, workers)
+	var wg sync.WaitGroup
+	for i := range ranges {
+		r := &ranges[i]
+		r.lo, r.hi = i*l.Blocks/workers, (i+1)*l.Blocks/workers
+		// The first range follows no other, so its reads cannot be stale.
+		r.ov = memory.NewOverlay(l.Mem, i > 0)
+		if i == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.run(l, newSink(), pool)
+		}()
+	}
+	ranges[0].run(l, newSink(), pool)
+	wg.Wait()
+
+	// The lowest failing range names the reason; ranges stopped because
+	// another failed say nothing.
+	for i := range ranges {
+		switch err := ranges[i].err; {
+		case err == nil, errors.Is(err, errAborted):
+		case errors.Is(err, errBudget):
+			return nil, FallbackBudget
+		default:
+			return nil, FallbackError
+		}
+	}
+	for j := 1; j < len(ranges); j++ {
+		for i := 0; i < j; i++ {
+			if ranges[j].ov.ReadsFrom(ranges[i].ov) {
+				return nil, FallbackConflict
+			}
+		}
+	}
+	k := ranges[0].k
+	warps := make([]*trace.WarpTrace, 0, l.Blocks*k.WarpsPerBlock)
+	for i := range ranges {
+		ranges[i].ov.Commit()
+		ranges[i].ov = nil
+		warps = append(warps, ranges[i].k.Warps...)
+	}
+	k.Warps = warps
+	return k, FallbackNone
+}
+
+// run emulates r's blocks over its overlay and validates their warps.
+func (r *blockRange) run(l *Launch, sink kernelSink, pool *budgetPool) {
+	blk := newBlock(l, l.ThreadsPerBlock/l.WarpSize)
+	blk.mem = r.ov
+	blk.pool = pool
+	blk.sink = sink
+	r.err = blk.runBlocks(r.lo, r.hi)
+	if r.err == nil {
+		k := sink.Kernel()
+		r.err = k.ValidateWarps(r.lo*k.WarpsPerBlock, k.Warps)
+		r.k = k
+	}
+	if r.err != nil {
+		pool.aborted.Store(true)
+		return
+	}
+	pool.left.Add(blk.left) // hand back the unused part of the last chunk
 }
 
 // stackEnt is one SIMT reconvergence stack entry.
@@ -184,19 +404,32 @@ type warp struct {
 	atBar bool
 }
 
-// block is the execution state of one thread block. RunSink allocates
-// one and resets it for every block of the grid, so emulation allocates
-// per launch, not per block or per record.
+// globalMem is global memory as a block sees it: the launch memory, or a
+// block range's private overlay of it.
+type globalMem interface {
+	Read(addr uint64, size int) uint64
+	Write(addr uint64, size int, v uint64)
+}
+
+// block is the execution state of one thread block. RunSink, and each
+// block range, allocates one and resets it for every block it runs, so
+// emulation allocates per launch, not per block or per record.
 type block struct {
 	l       *Launch
 	id      int
 	warps   []*warp
 	shared  []byte
+	mem     globalMem
 	scratch []uint64  // address scratch for coalescing
 	lineBuf []uint64  // coalesced-lines scratch, reused across records
 	rec     trace.Rec // the record being emitted, reused across records
-	budget  *int64    // remaining trace-record budget across the launch
 	sink    trace.Sink
+
+	// left is the trace-record budget this block may still spend. A
+	// sequential run starts it at MaxRecs; a block range starts at zero
+	// and refills in chunks from the launch's shared pool.
+	left int64
+	pool *budgetPool
 }
 
 func newBlock(l *Launch, warpsPerBlock int) *block {
@@ -282,9 +515,10 @@ func (b *block) runWarp(w *warp) error {
 	numRegs := prog.NumRegs
 	numPreds := prog.NumPreds
 	for !w.done && !w.atBar {
-		if *b.budget--; *b.budget < 0 {
-			return check.Runtime(b.l.Prog.Name, b.id, w.id, rec0PC(w), opAt(prog, rec0PC(w)),
-				"trace exceeds %d records (possible runaway loop)", b.l.MaxRecs)
+		if b.left--; b.left < 0 {
+			if err := b.refill(w); err != nil {
+				return err
+			}
 		}
 		top := &w.stack[len(w.stack)-1]
 		if top.pc >= len(prog.Instrs) {
@@ -367,6 +601,26 @@ func (b *block) runWarp(w *warp) error {
 		top.pc++
 		b.popReconverged(w)
 	}
+	return nil
+}
+
+// refill is called when the block's record budget runs out. A sequential
+// run then fails: the launch exceeds MaxRecs. A block range draws another
+// chunk from the shared pool, and stops when the pool is empty or another
+// range failed.
+func (b *block) refill(w *warp) error {
+	if b.pool == nil {
+		return check.Runtime(b.l.Prog.Name, b.id, w.id, rec0PC(w), opAt(b.l.Prog, rec0PC(w)),
+			"trace exceeds %d records (possible runaway loop)", b.l.MaxRecs)
+	}
+	if b.pool.aborted.Load() {
+		return errAborted
+	}
+	n := b.pool.take()
+	if n == 0 {
+		return errBudget
+	}
+	b.left += n
 	return nil
 }
 
@@ -461,10 +715,10 @@ func (b *block) execGlobal(w *warp, in *isa.Instr, active uint32, rec *trace.Rec
 		ea := uint64(int64(base) + in.Imm)
 		b.scratch = append(b.scratch, ea)
 		if in.Op == isa.OpLdG {
-			w.regs[lane*numRegs+int(in.Dst)] = loadConvert(b.l.Mem.Read(ea, size), in.Mem)
+			w.regs[lane*numRegs+int(in.Dst)] = loadConvert(b.mem.Read(ea, size), in.Mem)
 		} else {
 			v := storeConvert(w.regs[lane*numRegs+int(in.SrcB)], in.Mem)
-			b.l.Mem.Write(ea, size, v)
+			b.mem.Write(ea, size, v)
 		}
 	}
 	if len(b.scratch) > 0 {

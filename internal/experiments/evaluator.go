@@ -9,8 +9,9 @@
 // evaluates the oracle and all models (Table II) for every hardware
 // configuration a figure needs, caching results so figures share work.
 // With Options.Workers != 1 the work fans out over a bounded pool at the
-// (kernel, configuration, policy, model/oracle) grain; figure output is
-// byte-identical to the sequential run at any worker count.
+// (kernel, configuration, policy, model/oracle) grain, and each kernel's
+// emulation over as many block ranges; figure output is byte-identical
+// to the sequential run at any worker count.
 package experiments
 
 import (
@@ -27,6 +28,7 @@ import (
 	"gpumech/internal/core/cpistack"
 	"gpumech/internal/core/interval"
 	"gpumech/internal/core/model"
+	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/parallel"
@@ -277,7 +279,14 @@ func (e *Evaluator) traceKernel(name string, logf logFunc) (*kernelCtx, error) {
 	sp := e.opt.Obs.StartSpan("trace")
 	sp.SetStr("kernel", name)
 	start := time.Now()
-	tr, err := info.Trace(kernels.Scale{Blocks: blocks, Seed: e.opt.Seed}, config.Baseline().L1LineBytes)
+	l, err := info.EmuLaunch(kernels.Scale{Blocks: blocks, Seed: e.opt.Seed}, config.Baseline().L1LineBytes)
+	if err != nil {
+		sp.End()
+		return nil, err
+	}
+	var st emu.Stats
+	l.Workers, l.Stats = e.workers, &st // one worker keeps the whole run sequential
+	tr, err := emu.Run(l)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -286,6 +295,7 @@ func (e *Evaluator) traceKernel(name string, logf logFunc) (*kernelCtx, error) {
 	sp.SetInt("blocks", int64(tr.Blocks))
 	sp.SetInt("warps", int64(len(tr.Warps)))
 	sp.SetInt("instructions", tr.TotalInsts())
+	st.Observe(sp, e.opt.Obs)
 	sp.End()
 	if o := e.opt.Obs; o != nil && o.Metrics != nil {
 		o.Counter("trace.kernels").Inc()

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"gpumech/internal/config"
+	"gpumech/internal/obs"
 	"gpumech/internal/report"
 )
 
@@ -145,5 +147,40 @@ func TestDedupPoints(t *testing.T) {
 	want := []point{pts[0], pts[1], pts[3]}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("dedupPoints = %v, want %v", got, want)
+	}
+}
+
+// TestTraceSpanRecordsEmulation: the Evaluator's trace span records how
+// the emulator ran, as a Session's does, and one worker keeps the
+// emulator sequential.
+func TestTraceSpanRecordsEmulation(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		reg, tr := obs.NewRegistry(), obs.NewTracer()
+		e := NewEvaluator(Options{
+			Kernels: []string{"sdk_vectoradd"},
+			Blocks:  8,
+			Quick:   true,
+			Workers: workers,
+			Obs:     obs.NewObserver(reg, tr),
+		})
+		if _, err := e.Eval("sdk_vectoradd", config.Baseline(), config.GTO); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, r := range tr.Records() {
+			if r.Name != "trace" {
+				continue
+			}
+			for _, a := range r.Attrs {
+				got[a.Key] = a.Value
+			}
+		}
+		if got["workers"] != fmt.Sprint(workers) || got["fallback"] != "none" {
+			t.Errorf("%d workers: trace span workers=%q fallback=%q, want %d and none",
+				workers, got["workers"], got["fallback"], workers)
+		}
+		if n := reg.Counter("emu.fallbacks").Value(); n != 0 {
+			t.Errorf("%d workers: emu.fallbacks = %d, want 0", workers, n)
+		}
 	}
 }

@@ -366,8 +366,9 @@ type Program struct {
 }
 
 // Validate checks structural well-formedness: opcode ranges, register
-// indices within the declared file sizes, branch targets and reconvergence
-// points in range, and termination with OpExit.
+// indices within the declared file sizes, predicate operands present
+// where an instruction reads or writes one, branch targets and
+// reconvergence points in range, and termination with OpExit.
 func (p *Program) Validate() error {
 	if len(p.Instrs) == 0 {
 		return fmt.Errorf("isa: program %q has no instructions", p.Name)
@@ -405,6 +406,9 @@ func (p *Program) Validate() error {
 				return err
 			}
 		}
+		if err := p.checkPredOperands(pc, &in); err != nil {
+			return err
+		}
 		if in.Op == OpBra {
 			if in.Target < 0 || in.Target > len(p.Instrs) {
 				return fmt.Errorf("isa: program %q pc %d: branch target %d out of range", p.Name, pc, in.Target)
@@ -419,6 +423,33 @@ func (p *Program) Validate() error {
 	}
 	if !sawExit {
 		return fmt.Errorf("isa: program %q does not contain an exit instruction", p.Name)
+	}
+	return nil
+}
+
+// checkPredOperands rejects predicate instructions missing a predicate
+// operand they read or write: the emulator indexes the predicate file
+// with it, so PredNone there is not "no predicate" but a bad index.
+func (p *Program) checkPredOperands(pc int, in *Instr) error {
+	missing := ""
+	switch in.Op {
+	case OpISetp, OpFSetp:
+		if in.PDst == PredNone {
+			missing = "destination"
+		}
+	case OpPNot, OpPAnd:
+		if in.PDst == PredNone {
+			missing = "destination"
+		} else if in.Pred == PredNone || in.Op == OpPAnd && in.Pred2 == PredNone {
+			missing = "source"
+		}
+	case OpSelp:
+		if in.Pred == PredNone {
+			missing = "selector"
+		}
+	}
+	if missing != "" {
+		return fmt.Errorf("isa: program %q pc %d: %s has no %s predicate", p.Name, pc, in.Op, missing)
 	}
 	return nil
 }

@@ -93,6 +93,19 @@ func TestProgramValidate(t *testing.T) {
 			p.Instrs[0] = Instr{Op: OpBra, Target: 1, Reconv: -1, Dst: RegNone, SrcA: RegNone, SrcB: RegNone, SrcC: RegNone, PDst: PredNone, Pred: PredNone, Pred2: PredNone}
 		}},
 		{"zero regs", func(p *Program) { p.NumRegs = 0 }},
+		// Predicate operands the emulator indexes the predicate file with.
+		{"setp without destination", func(p *Program) {
+			p.Instrs[0] = Instr{Op: OpISetp, SrcA: 1, SrcB: 1, Dst: RegNone, SrcC: RegNone, PDst: PredNone, Pred: PredNone, Pred2: PredNone}
+		}},
+		{"pnot without source", func(p *Program) {
+			p.Instrs[0] = Instr{Op: OpPNot, PDst: 0, Dst: RegNone, SrcA: RegNone, SrcB: RegNone, SrcC: RegNone, Pred: PredNone, Pred2: PredNone}
+		}},
+		{"pand without second source", func(p *Program) {
+			p.Instrs[0] = Instr{Op: OpPAnd, PDst: 0, Pred: 0, Dst: RegNone, SrcA: RegNone, SrcB: RegNone, SrcC: RegNone, Pred2: PredNone}
+		}},
+		{"selp without selector", func(p *Program) {
+			p.Instrs[0] = Instr{Op: OpSelp, Dst: 1, SrcA: 1, SrcB: 1, SrcC: RegNone, PDst: PredNone, Pred: PredNone, Pred2: PredNone}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

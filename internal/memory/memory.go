@@ -14,7 +14,10 @@ const pageSize = 1 << pageBits
 
 // Memory is a sparse byte-addressable memory. The zero value is empty and
 // ready to use. Reads of unwritten addresses return zero bytes, like
-// freshly allocated device memory. Memory is not safe for concurrent use.
+// freshly allocated device memory. Memory is not safe for concurrent use,
+// with one exception: any number of goroutines may read it at once while
+// none writes it. Overlays rely on that to run the blocks of one launch
+// concurrently over a shared launch memory.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
 }
@@ -143,6 +146,21 @@ func (m *Memory) I32Slice(base uint64, n int) []int32 {
 
 // Footprint returns the number of bytes of storage currently allocated.
 func (m *Memory) Footprint() int { return len(m.pages) * pageSize }
+
+// Equal reports whether m and o hold the same pages with the same bytes.
+// A page allocated on one side only counts as a difference even when it
+// is all zeros, since it shows the two were written differently.
+func (m *Memory) Equal(o *Memory) bool {
+	if len(m.pages) != len(o.pages) {
+		return false
+	}
+	for k, p := range m.pages {
+		if q := o.pages[k]; q == nil || *p != *q {
+			return false
+		}
+	}
+	return true
+}
 
 // Clone returns an independent deep copy of the memory. The emulator uses
 // it to rerun a kernel on identical initial state (e.g. once for tracing

@@ -66,6 +66,7 @@ import (
 	"gpumech"
 	"gpumech/internal/check"
 	"gpumech/internal/check/perf"
+	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/obs/chrometrace"
@@ -698,7 +699,11 @@ func (s *Server) kernelCensusAll() (map[string]kernelCensus, error) {
 			if blocks <= 0 {
 				blocks = kernels.DefaultBlocks(info.WarpsPerBlock)
 			}
-			tr, err := info.Trace(kernels.Scale{Blocks: blocks, Seed: 1}, 128)
+			l, err := censusLaunch(info, blocks)
+			if err != nil {
+				return fmt.Errorf("census of %s: %w", names[i], err)
+			}
+			tr, err := emu.RunColumnar(l)
 			if err != nil {
 				return fmt.Errorf("census of %s: %w", names[i], err)
 			}
@@ -713,6 +718,16 @@ func (s *Server) kernelCensusAll() (map[string]kernelCensus, error) {
 		}
 	})
 	return s.census, s.censusErr
+}
+
+// censusLaunch builds the emulator launch that counts one kernel's
+// warp-instructions. The census already runs one kernel per worker, so
+// the emulator runs each kernel's blocks sequentially rather than
+// nesting block ranges inside the fan-out.
+func censusLaunch(info *kernels.Info, blocks int) (emu.Launch, error) {
+	l, err := info.EmuLaunch(kernels.Scale{Blocks: blocks, Seed: 1}, 128)
+	l.Workers = 1
+	return l, err
 }
 
 // handleKernels serves the kernel catalogue. The default (version 2)

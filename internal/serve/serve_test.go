@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"gpumech"
+	"gpumech/internal/emu"
+	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/obs/promtext"
 	"gpumech/internal/obs/runtimecollector"
@@ -479,5 +481,26 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 	if got := reg.Counter("serve.requests").Value(); got < 24 {
 		t.Fatalf("serve.requests = %d, want >= 24", got)
+	}
+}
+
+// TestCensusEmulatesSequentially: the kernel census runs one kernel per
+// worker, so each kernel's emulation runs its blocks sequentially.
+func TestCensusEmulatesSequentially(t *testing.T) {
+	info, err := kernels.Get("sdk_vectoradd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := censusLaunch(info, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st emu.Stats
+	l.Stats = &st
+	if _, err := emu.RunColumnar(l); err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers != 1 {
+		t.Errorf("census emulated over %d block ranges, want 1", st.Workers)
 	}
 }

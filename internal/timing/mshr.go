@@ -1,9 +1,6 @@
 package timing
 
-import (
-	"container/heap"
-	"sort"
-)
+import "slices"
 
 // mshrFile models a core's miss-status holding registers: a bounded set of
 // in-flight line misses with same-line merging. Entries free when their
@@ -12,6 +9,7 @@ type mshrFile struct {
 	entries  int
 	inflight map[uint64]int64 // line -> completion cycle
 	releases releaseHeap
+	scratch  []int64 // kthRelease's sort buffer, reused across calls
 }
 
 type release struct {
@@ -19,13 +17,55 @@ type release struct {
 	line  uint64
 }
 
+// releaseHeap is a min-heap of releases by cycle. It is container/heap's
+// algorithm on a concrete type, so pushes and pops do not box each
+// release into an interface.
 type releaseHeap []release
 
-func (h releaseHeap) Len() int           { return len(h) }
-func (h releaseHeap) Less(i, j int) bool { return h[i].cycle < h[j].cycle }
-func (h releaseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x any)        { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h *releaseHeap) push(r release) {
+	*h = append(*h, r)
+	h.up(len(*h) - 1)
+}
+
+func (h *releaseHeap) pop() release {
+	old := *h
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	h.down(0, n)
+	r := old[n]
+	*h = old[:n]
+	return r
+}
+
+func (h releaseHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].cycle >= h[i].cycle {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h releaseHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].cycle < h[j1].cycle {
+			j = j2 // right child
+		}
+		if h[j].cycle >= h[i].cycle {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
 
 func newMSHRFile(entries int) *mshrFile {
 	return &mshrFile{entries: entries, inflight: make(map[uint64]int64)}
@@ -36,7 +76,7 @@ func newMSHRFile(entries int) *mshrFile {
 func (m *mshrFile) purge(now int64) int {
 	freed := 0
 	for len(m.releases) > 0 && m.releases[0].cycle <= now {
-		r := heap.Pop(&m.releases).(release)
+		r := m.releases.pop()
 		if c, ok := m.inflight[r.line]; ok && c == r.cycle {
 			delete(m.inflight, r.line)
 			freed++
@@ -57,7 +97,7 @@ func (m *mshrFile) pending(line uint64) (int64, bool) {
 // allocate reserves an entry for line completing at the given cycle.
 func (m *mshrFile) allocate(line uint64, completion int64) {
 	m.inflight[line] = completion
-	heap.Push(&m.releases, release{cycle: completion, line: line})
+	m.releases.push(release{cycle: completion, line: line})
 }
 
 // nextRelease returns the earliest completion cycle of any in-flight
@@ -82,10 +122,10 @@ func (m *mshrFile) kthRelease(k int) int64 {
 			return int64(^uint64(0) >> 1)
 		}
 	}
-	scratch := make([]int64, len(m.releases))
-	for i, r := range m.releases {
-		scratch[i] = r.cycle
+	m.scratch = m.scratch[:0]
+	for _, r := range m.releases {
+		m.scratch = append(m.scratch, r.cycle)
 	}
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	return scratch[k-1]
+	slices.Sort(m.scratch)
+	return m.scratch[k-1]
 }

@@ -223,6 +223,17 @@ type core struct {
 	// in-flight set change; warps memoize their next instruction's probe
 	// results against it so blocked retries stay O(1).
 	memEpoch int64
+
+	// freeRegs holds the scoreboards of warps whose block drained, for
+	// admitBlock to reuse instead of allocating two slices per warp.
+	freeRegs []scoreboard
+}
+
+// scoreboard is one warp's register-readiness state: when each register's
+// pending write completes, and whether that write comes from a load.
+type scoreboard struct {
+	ready   []int64
+	fromMem []bool
 }
 
 type blockState struct {
@@ -767,12 +778,17 @@ func (s *sim) finishWarp(co *core, w *warpState, now int64) {
 		}
 		return
 	}
-	// Remove the drained block and admit the next one.
+	// Remove the drained block, keep its warps' scoreboards for reuse, and
+	// admit the next one. A done warp's scoreboard is never read again.
 	for i, blk := range co.blocks {
 		if blk == b {
 			co.blocks = append(co.blocks[:i], co.blocks[i+1:]...)
 			break
 		}
+	}
+	for _, ws := range b.warps {
+		co.freeRegs = append(co.freeRegs, scoreboard{ws.regReady, ws.regFromMem})
+		ws.regReady, ws.regFromMem = nil, nil
 	}
 	live := co.warps[:0]
 	for _, ws := range co.warps {
@@ -800,11 +816,20 @@ func (co *core) admitBlock(numRegs int, wake int64) error {
 	co.pending = co.pending[1:]
 	b := &blockState{alive: len(traces)}
 	for _, wt := range traces {
+		var sb scoreboard
+		if n := len(co.freeRegs); n > 0 {
+			sb = co.freeRegs[n-1]
+			co.freeRegs = co.freeRegs[:n-1]
+			clear(sb.ready)
+			clear(sb.fromMem)
+		} else {
+			sb = scoreboard{make([]int64, numRegs), make([]bool, numRegs)}
+		}
 		ws := &warpState{
 			cur:        wt.Cursor(),
 			insts:      wt.Insts(),
-			regReady:   make([]int64, numRegs),
-			regFromMem: make([]bool, numRegs),
+			regReady:   sb.ready,
+			regFromMem: sb.fromMem,
 			wake:       wake,
 			block:      b,
 			age:        co.nextAge,

@@ -133,12 +133,33 @@ func (b *ColBuilder) flushMaskRun() {
 	b.maskRun = 0
 }
 
-// Finish seals the streams and returns the columnar warp. The builder must
-// not be appended to afterwards.
+// Finish seals the streams and returns the columnar warp, its streams
+// packed into one exact-size allocation. The builder is left empty and may
+// be reused for another warp; its streams keep their capacity as scratch,
+// so a reused builder stops reallocating once it has seen its largest
+// warp.
 func (b *ColBuilder) Finish() *ColWarp {
 	b.flushMaskRun()
-	cw := b.cw
-	return &cw
+	src, cw := &b.cw, &ColWarp{n: b.cw.n, memInsts: b.cw.memInsts, memReqs: b.cw.memReqs}
+	buf := make([]byte, 0, src.SizeBytes())
+	dst := cw.streams()
+	for i, col := range src.streams() {
+		if len(*col) > 0 { // a stream never written stays nil
+			start := len(buf)
+			buf = append(buf, *col...)
+			*dst[i] = buf[start:len(buf):len(buf)]
+		}
+		*col = (*col)[:0]
+	}
+	// Reset every field but the emptied streams, which stay as scratch.
+	*b = ColBuilder{cw: ColWarp{pc: src.pc, op: src.op, mem: src.mem, nsrc: src.nsrc, dst: src.dst,
+		srcs: src.srcs, mask: src.mask, nlines: src.nlines, lines: src.lines}}
+	return cw
+}
+
+// streams returns pointers to c's nine column streams, in format order.
+func (c *ColWarp) streams() [9]*[]byte {
+	return [9]*[]byte{&c.pc, &c.op, &c.mem, &c.nsrc, &c.dst, &c.srcs, &c.mask, &c.nlines, &c.lines}
 }
 
 // EncodeColumns converts row records to a columnar warp.

@@ -62,6 +62,43 @@ func TestColRoundTrip(t *testing.T) {
 	}
 }
 
+// TestColBuilderReuse finishes two warps on one builder: the first
+// warp's packed streams must not share storage with the builder's
+// scratch, and each warp must equal a fresh builder's encoding of it.
+func TestColBuilderReuse(t *testing.T) {
+	first := colRecs()
+	second := colRecs()[2:7]
+	var b ColBuilder
+	finish := func(recs []Rec) *ColWarp {
+		for i := range recs {
+			if err := b.Append(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Finish()
+	}
+	cw1 := finish(first)
+	cw2 := finish(second)
+	for _, tc := range []struct {
+		cw   *ColWarp
+		recs []Rec
+	}{{cw1, first}, {cw2, second}} {
+		want, err := EncodeColumns(tc.recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tc.cw, want) {
+			t.Fatalf("reused builder encoded %+v, fresh builder %+v", tc.cw, want)
+		}
+		if n := tc.cw.SizeBytes(); n == 0 {
+			t.Fatal("empty warp")
+		}
+	}
+	if cap(cw1.pc) != len(cw1.pc) || cap(cw1.lines) != len(cw1.lines) {
+		t.Error("packed streams carry spare capacity an append could write through")
+	}
+}
+
 func TestColMaskRLECompact(t *testing.T) {
 	recs := make([]Rec, 1000)
 	for i := range recs {

@@ -118,11 +118,12 @@ func NewColKernelBuilder(m KernelMeta) *ColKernelBuilder {
 	return &ColKernelBuilder{k: m.kernel()}
 }
 
-// BeginBlock implements Sink.
+// BeginBlock implements Sink. The per-warp builders are reused from
+// block to block: EndBlock packs each warp's streams into the finished
+// warp and leaves the builder empty, with its scratch capacity.
 func (b *ColKernelBuilder) BeginBlock(blk int) {
 	b.blockID = blk
-	b.builders = b.builders[:0]
-	for w := 0; w < b.k.WarpsPerBlock; w++ {
+	for len(b.builders) < b.k.WarpsPerBlock {
 		b.builders = append(b.builders, &ColBuilder{})
 	}
 }

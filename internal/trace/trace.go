@@ -132,51 +132,75 @@ func (k *Kernel) Validate() error {
 		return fmt.Errorf("trace: kernel %q has %d warps, want %d blocks x %d warps",
 			k.Name, len(k.Warps), k.Blocks, k.WarpsPerBlock)
 	}
-	for i, w := range k.Warps {
-		if w.BlockID != i/k.WarpsPerBlock || w.WarpID != i%k.WarpsPerBlock {
-			return fmt.Errorf("trace: kernel %q warp %d has ids (%d,%d), want (%d,%d)",
-				k.Name, i, w.BlockID, w.WarpID, i/k.WarpsPerBlock, i%k.WarpsPerBlock)
-		}
-		var insts, memInsts, memReqs int
-		cur := w.Cursor()
-		for cur.Next() {
-			r := cur.Rec()
-			j := insts
-			insts++
-			if int(r.PC) >= len(k.Prog.Instrs) || r.PC < 0 {
-				return fmt.Errorf("trace: kernel %q warp %d rec %d: pc %d out of range", k.Name, i, j, r.PC)
-			}
-			if r.NumSrcs > uint8(len(r.Srcs)) {
-				return fmt.Errorf("trace: kernel %q warp %d rec %d: %d sources exceed capacity", k.Name, i, j, r.NumSrcs)
-			}
-			for s := int(r.NumSrcs); s < len(r.Srcs); s++ {
-				if r.Srcs[s] != isa.RegNone {
-					return fmt.Errorf("trace: kernel %q warp %d rec %d: source slot %d past NumSrcs not RegNone", k.Name, i, j, s)
-				}
-			}
-			if r.IsGlobalMem() {
-				if r.Mask != 0 && len(r.Lines) == 0 {
-					return fmt.Errorf("trace: kernel %q warp %d rec %d: global memory op with no lines", k.Name, i, j)
-				}
-				for l := 1; l < len(r.Lines); l++ {
-					if r.Lines[l] <= r.Lines[l-1] {
-						return fmt.Errorf("trace: kernel %q warp %d rec %d: lines not strictly ascending", k.Name, i, j)
-					}
-				}
-				memInsts++
-				memReqs += len(r.Lines)
-			} else if len(r.Lines) != 0 {
-				return fmt.Errorf("trace: kernel %q warp %d rec %d: lines on non-global-memory op", k.Name, i, j)
-			}
-		}
-		if err := cur.Err(); err != nil {
-			return fmt.Errorf("trace: kernel %q warp %d: %w", k.Name, i, err)
-		}
+	return k.ValidateWarps(0, k.Warps)
+}
+
+// ValidateWarps applies Validate's per-warp checks to ws as warps first,
+// first+1, ... of k. The emulator validates each block range's warps with
+// it as the range finishes, instead of re-reading the whole trace. One
+// cursor decodes every columnar warp in turn.
+func (k *Kernel) ValidateWarps(first int, ws []*WarpTrace) error {
+	var col ColCursor
+	for j, w := range ws {
+		var cur RecCursor = &col
 		if w.col != nil {
-			if insts != w.col.Insts() || memInsts != w.col.GlobalMemInsts() || memReqs != w.col.GlobalMemReqs() {
-				return fmt.Errorf("trace: kernel %q warp %d: column summary mismatch (%d/%d/%d insts/memInsts/memReqs, summaries say %d/%d/%d)",
-					k.Name, i, insts, memInsts, memReqs, w.col.Insts(), w.col.GlobalMemInsts(), w.col.GlobalMemReqs())
+			col.w = w.col
+			col.Reset()
+		} else {
+			cur = NewSliceCursor(w.Recs)
+		}
+		if err := k.validateWarp(first+j, w, cur); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateWarp checks w, read through cur, as warp i of k (block
+// i/WarpsPerBlock).
+func (k *Kernel) validateWarp(i int, w *WarpTrace, cur RecCursor) error {
+	if w.BlockID != i/k.WarpsPerBlock || w.WarpID != i%k.WarpsPerBlock {
+		return fmt.Errorf("trace: kernel %q warp %d has ids (%d,%d), want (%d,%d)",
+			k.Name, i, w.BlockID, w.WarpID, i/k.WarpsPerBlock, i%k.WarpsPerBlock)
+	}
+	var insts, memInsts, memReqs int
+	for cur.Next() {
+		r := cur.Rec()
+		j := insts
+		insts++
+		if int(r.PC) >= len(k.Prog.Instrs) || r.PC < 0 {
+			return fmt.Errorf("trace: kernel %q warp %d rec %d: pc %d out of range", k.Name, i, j, r.PC)
+		}
+		if r.NumSrcs > uint8(len(r.Srcs)) {
+			return fmt.Errorf("trace: kernel %q warp %d rec %d: %d sources exceed capacity", k.Name, i, j, r.NumSrcs)
+		}
+		for s := int(r.NumSrcs); s < len(r.Srcs); s++ {
+			if r.Srcs[s] != isa.RegNone {
+				return fmt.Errorf("trace: kernel %q warp %d rec %d: source slot %d past NumSrcs not RegNone", k.Name, i, j, s)
 			}
+		}
+		if r.IsGlobalMem() {
+			if r.Mask != 0 && len(r.Lines) == 0 {
+				return fmt.Errorf("trace: kernel %q warp %d rec %d: global memory op with no lines", k.Name, i, j)
+			}
+			for l := 1; l < len(r.Lines); l++ {
+				if r.Lines[l] <= r.Lines[l-1] {
+					return fmt.Errorf("trace: kernel %q warp %d rec %d: lines not strictly ascending", k.Name, i, j)
+				}
+			}
+			memInsts++
+			memReqs += len(r.Lines)
+		} else if len(r.Lines) != 0 {
+			return fmt.Errorf("trace: kernel %q warp %d rec %d: lines on non-global-memory op", k.Name, i, j)
+		}
+	}
+	if err := cur.Err(); err != nil {
+		return fmt.Errorf("trace: kernel %q warp %d: %w", k.Name, i, err)
+	}
+	if w.col != nil {
+		if insts != w.col.Insts() || memInsts != w.col.GlobalMemInsts() || memReqs != w.col.GlobalMemReqs() {
+			return fmt.Errorf("trace: kernel %q warp %d: column summary mismatch (%d/%d/%d insts/memInsts/memReqs, summaries say %d/%d/%d)",
+				k.Name, i, insts, memInsts, memReqs, w.col.Insts(), w.col.GlobalMemInsts(), w.col.GlobalMemReqs())
 		}
 	}
 	return nil

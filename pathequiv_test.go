@@ -8,8 +8,10 @@ import (
 	"gpumech/internal/baseline"
 	"gpumech/internal/cache"
 	"gpumech/internal/core/model"
+	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
+	"gpumech/internal/trace"
 )
 
 // pathKernels is the fixed three-kernel sample of the path matrix: one
@@ -36,19 +38,34 @@ func pathConfigs() map[string]Config {
 // baseline prediction per (config, model).
 type pathAnswers map[string]string
 
+// sequentialRows traces info in row layout on the sequential emulator
+// (one worker): the reference trace the parallel emulator and every
+// columnar path are compared against.
+func sequentialRows(t *testing.T, info *kernels.Info, blocks int) *trace.Kernel {
+	t.Helper()
+	l, err := info.EmuLaunch(kernels.Scale{Blocks: blocks, Seed: 1}, DefaultConfig().L1LineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Workers = 1
+	tr, err := emu.Run(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // referenceAnswers computes the answers the one-shot pipeline gives on a
-// row-layout trace, with no memo, store or columnar trace involved: the
-// contract every Session path must meet.
+// row-layout trace from the sequential emulator, with no memo, store,
+// columnar trace or parallel emulation involved: the contract every
+// Session path must meet.
 func referenceAnswers(t *testing.T, kernel string) pathAnswers {
 	t.Helper()
 	info, err := kernels.Get(kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := info.Trace(kernels.Scale{Blocks: pathBlocks, Seed: 1}, DefaultConfig().L1LineBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := sequentialRows(t, info, pathBlocks)
 	out := pathAnswers{}
 	for cname, cfg := range pathConfigs() {
 		prof, err := cache.Simulate(tr, cfg.ProfileConfig())
@@ -128,8 +145,9 @@ func floatBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(
 
 // TestEntryPathsAgree is the path-equivalence matrix: every Session entry
 // path — storeless, store cold (build and put), store warm (a fresh
-// session reading the same directory), and an Observing view — gives
-// the one-shot pipeline's answers bit for bit, for every kernel of the
+// session reading the same directory), an Observing view, and sessions
+// that emulate and profile on one worker and on four — gives the
+// one-shot pipeline's answers bit for bit, for every kernel of the
 // sample, both policies, all three selection methods and both baseline
 // models.
 func TestEntryPathsAgree(t *testing.T) {
@@ -158,6 +176,8 @@ func TestEntryPathsAgree(t *testing.T) {
 				{"store warm", func() *Session {
 					return newSession(WithProfileStore(dir), WithObserver(NewObserver(warmReg, nil)))
 				}},
+				{"1 worker", func() *Session { return newSession(WithWorkers(1)) }},
+				{"4 workers", func() *Session { return newSession(WithWorkers(4)) }},
 			}
 			for _, p := range paths {
 				got := sessionAnswers(t, p.sess())
@@ -259,6 +279,36 @@ func TestEstimateSpanRecordsPrepTier(t *testing.T) {
 		got := tiers(tc.opts...)
 		if len(got) != len(tc.want) || got[0] != tc.want[0] || got[1] != tc.want[1] {
 			t.Errorf("%s: prep tiers %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestTraceSpanRecordsEmulation checks the trace span's provenance: how
+// many block ranges the emulator ran and why, if at all, it fell back to
+// the sequential emulator. No bundled kernel falls back, so
+// emu.fallbacks stays zero.
+func TestTraceSpanRecordsEmulation(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		reg, tr := obs.NewRegistry(), obs.NewTracer()
+		if _, err := NewSession("sdk_vectoradd", WithBlocks(8), WithWorkers(workers),
+			WithObserver(NewObserver(reg, tr))); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, r := range tr.Records() {
+			if r.Name != "trace" {
+				continue
+			}
+			for _, a := range r.Attrs {
+				got[a.Key] = a.Value
+			}
+		}
+		if got["workers"] != fmt.Sprint(workers) || got["fallback"] != "none" {
+			t.Errorf("%d workers: trace span workers=%q fallback=%q, want %d and none",
+				workers, got["workers"], got["fallback"], workers)
+		}
+		if n := reg.Counter("emu.fallbacks").Value(); n != 0 {
+			t.Errorf("%d workers: emu.fallbacks = %d, want 0", workers, n)
 		}
 	}
 }
