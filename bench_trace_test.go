@@ -13,35 +13,29 @@ import (
 )
 
 // benchTraceDoc is the schema of BENCH_trace.json: the headline numbers
-// of the columnar trace format against the legacy gob encoding, measured
-// on a real kernel trace. CI writes it as a build artifact (set
-// GPUMECH_BENCH_OUT to a path); EXPERIMENTS.md records a blessed copy.
+// of the v2 trace format, measured on a real kernel trace. CI writes it
+// as a build artifact (set GPUMECH_BENCH_OUT to a path); EXPERIMENTS.md
+// records a blessed copy.
 type benchTraceDoc struct {
 	Kernel  string `json:"kernel"`
 	Blocks  int    `json:"blocks"`
 	Records int64  `json:"records"`
 
 	// On-disk footprint (gzip-compressed, bytes).
-	SizeColumnar int     `json:"sizeColumnarBytes"`
-	SizeLegacy   int     `json:"sizeLegacyBytes"`
-	SizeRatio    float64 `json:"legacyOverColumnarSize"`
+	SizeColumnar int `json:"sizeColumnarBytes"`
 
 	// Full-file encode/decode wall time (ns per file).
-	EncodeColumnarNs int64   `json:"encodeColumnarNs"`
-	EncodeLegacyNs   int64   `json:"encodeLegacyNs"`
-	DecodeColumnarNs int64   `json:"decodeColumnarNs"`
-	DecodeLegacyNs   int64   `json:"decodeLegacyNs"`
-	DecodeSpeedup    float64 `json:"legacyOverColumnarDecode"`
+	EncodeColumnarNs int64 `json:"encodeColumnarNs"`
+	DecodeColumnarNs int64 `json:"decodeColumnarNs"`
 
 	// Interval-algorithm footprint per Build call over a columnar warp:
 	// flat bytes/op across a 100x record range is the O(window) proof.
 	IntervalBuild []intervalBuildPoint `json:"intervalBuild"`
 
 	// End-to-end: session construction (trace acquisition included) plus
-	// one full estimate, from the emulator vs from a columnar trace file.
+	// one full estimate, from the emulator vs from a trace file.
 	EvaluateEmulateNs int64 `json:"evaluateFromEmulatorNs"`
 	EvaluateColFileNs int64 `json:"evaluateFromColumnarFileNs"`
-	EvaluateGobFileNs int64 `json:"evaluateFromLegacyFileNs"`
 }
 
 type intervalBuildPoint struct {
@@ -65,16 +59,13 @@ func TestWriteBenchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := info.TraceColumnar(kernels.Scale{Blocks: blocks, Seed: 1}, 128)
+	tr, err := info.Trace(kernels.Scale{Blocks: blocks, Seed: 1}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var colBuf, gobBuf bytes.Buffer
+	var colBuf bytes.Buffer
 	if err := tr.Encode(&colBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.EncodeLegacy(&gobBuf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,8 +74,6 @@ func TestWriteBenchTrace(t *testing.T) {
 		Blocks:       blocks,
 		Records:      tr.TotalInsts(),
 		SizeColumnar: colBuf.Len(),
-		SizeLegacy:   gobBuf.Len(),
-		SizeRatio:    float64(gobBuf.Len()) / float64(colBuf.Len()),
 	}
 
 	nsPerOp := func(f func(b *testing.B)) int64 {
@@ -99,30 +88,13 @@ func TestWriteBenchTrace(t *testing.T) {
 			}
 		}
 	})
-	doc.EncodeLegacyNs = nsPerOp(func(b *testing.B) {
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := tr.EncodeLegacy(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	doc.DecodeColumnarNs = nsPerOp(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := trace.ReadKernelStream(bytes.NewReader(colBuf.Bytes())); err != nil {
+			if _, err := trace.ReadKernel(bytes.NewReader(colBuf.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	doc.DecodeLegacyNs = nsPerOp(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := trace.ReadKernelStream(bytes.NewReader(gobBuf.Bytes())); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	doc.DecodeSpeedup = float64(doc.DecodeLegacyNs) / float64(doc.DecodeColumnarNs)
 
 	// Interval memory independence. The look-back state must be O(window):
 	// a stall-free synthetic warp (no instruction reads a register) keeps
@@ -144,7 +116,7 @@ func TestWriteBenchTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		w := trace.NewColWarpTrace(0, 0, cb.Finish())
+		w := &trace.WarpTrace{ColWarp: cb.Finish()}
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -162,19 +134,16 @@ func TestWriteBenchTrace(t *testing.T) {
 
 	// End-to-end: trace acquisition + full estimate.
 	dir := t.TempDir()
-	colPath, gobPath := dir+"/col.trace", dir+"/gob.trace"
+	colPath := dir + "/col.trace"
 	smallInfo, err := kernels.Get("rodinia_srad1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallTr, err := smallInfo.TraceColumnar(kernels.Scale{Blocks: DefaultBlocks(smallInfo.WarpsPerBlock), Seed: 1}, 128)
+	smallTr, err := smallInfo.Trace(kernels.Scale{Blocks: DefaultBlocks(smallInfo.WarpsPerBlock), Seed: 1}, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := smallTr.Save(colPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := smallTr.SaveLegacy(gobPath); err != nil {
 		t.Fatal(err)
 	}
 	estimate := func(b *testing.B, open func() (*Session, error)) {
@@ -193,9 +162,6 @@ func TestWriteBenchTrace(t *testing.T) {
 	})
 	doc.EvaluateColFileNs = nsPerOp(func(b *testing.B) {
 		estimate(b, func() (*Session, error) { return NewSessionFromTraceFile(colPath) })
-	})
-	doc.EvaluateGobFileNs = nsPerOp(func(b *testing.B) {
-		estimate(b, func() (*Session, error) { return NewSessionFromTraceFile(gobPath) })
 	})
 
 	data, err := json.MarshalIndent(doc, "", "  ")

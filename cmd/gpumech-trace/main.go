@@ -7,12 +7,8 @@
 //	gpumech-trace -kernel rodinia_bfs            # summary + per-PC profile
 //	gpumech-trace -kernel rodinia_bfs -warp 3    # interval profile of warp 3
 //	gpumech-trace -kernel rodinia_bfs -dump 40   # first 40 trace records
-//
-// The convert subcommand transcodes saved traces between the legacy gob
-// format and the columnar v2 format (both gzip-compressed):
-//
-//	gpumech-trace convert -in old.trace -out new.trace                # to columnar
-//	gpumech-trace convert -in new.trace -out old.trace -format gob    # back to gob
+//	gpumech-trace -kernel rodinia_bfs -save t.trace
+//	gpumech-trace -load t.trace -warp 0 -dump 20 # inspect a saved trace
 package main
 
 import (
@@ -31,10 +27,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "convert" {
-		convert(os.Args[2:])
-		return
-	}
 	kernel := flag.String("kernel", "sdk_vectoradd", "kernel name")
 	blocks := flag.Int("blocks", 32, "thread blocks to trace")
 	seed := flag.Int64("seed", 1, "synthetic input seed")
@@ -42,7 +34,6 @@ func main() {
 	dump := flag.Int("dump", 0, "dump the first N trace records of the chosen warp")
 	disasm := flag.Bool("disasm", false, "print the kernel program listing")
 	save := flag.String("save", "", "write the trace to this file")
-	format := flag.String("format", "columnar", "format for -save: columnar (v2) or gob (legacy v1)")
 	loadPath := flag.String("load", "", "load a previously saved trace instead of emulating")
 	ob := obsflag.Register(flag.CommandLine)
 	flag.Parse()
@@ -90,10 +81,10 @@ func main() {
 		sp.End()
 	}
 	if *save != "" {
-		if err := saveAs(tr, *save, *format); err != nil {
+		if err := tr.Save(*save); err != nil {
 			fail(err)
 		}
-		fmt.Printf("saved %s trace to %s\n", *format, *save)
+		fmt.Printf("saved trace to %s\n", *save)
 	}
 	fmt.Printf("kernel %s: %d blocks x %d warps, %d static instructions, %d dynamic warp-instructions\n",
 		tr.Name, tr.Blocks, tr.WarpsPerBlock, len(tr.Prog.Instrs), tr.TotalInsts())
@@ -147,48 +138,16 @@ func main() {
 		}
 		if *dump > 0 {
 			fmt.Printf("\nfirst %d records of warp %d:\n", *dump, w)
-			for i, r := range tr.Warps[w].Recs {
-				if i >= *dump {
-					break
-				}
+			cur := tr.Warps[w].Cursor()
+			for i := 0; i < *dump && cur.Next(); i++ {
+				r := cur.Rec()
 				fmt.Printf("  %4d: pc %3d %-6s mask %08x reqs %d\n", i, r.PC, r.Op, r.Mask, r.NumReqs())
+			}
+			if err := cur.Err(); err != nil {
+				fail(err)
 			}
 		}
 	}
-}
-
-// convert transcodes a saved trace file between formats. The input format
-// is sniffed from the file; -format picks the output encoding.
-func convert(args []string) {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	in := fs.String("in", "", "input trace file (format auto-detected)")
-	out := fs.String("out", "", "output trace file")
-	format := fs.String("format", "columnar", "output format: columnar (v2) or gob (legacy v1)")
-	if err := fs.Parse(args); err != nil {
-		fail(err)
-	}
-	if *in == "" || *out == "" {
-		fail(fmt.Errorf("convert: -in and -out are required"))
-	}
-	tr, err := trace.LoadStream(*in)
-	if err != nil {
-		fail(err)
-	}
-	if err := saveAs(tr, *out, *format); err != nil {
-		fail(err)
-	}
-	fmt.Printf("converted %s -> %s (%s, %d warps, %d warp-instructions)\n",
-		*in, *out, *format, len(tr.Warps), tr.TotalInsts())
-}
-
-func saveAs(tr *trace.Kernel, path, format string) error {
-	switch format {
-	case "columnar":
-		return tr.Save(path)
-	case "gob":
-		return tr.SaveLegacy(path)
-	}
-	return fmt.Errorf("unknown trace format %q (want columnar or gob)", format)
 }
 
 func fail(err error) {

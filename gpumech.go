@@ -175,12 +175,11 @@ func WithSeed(seed int64) Option { return func(o *sessionOpts) { o.seed = seed }
 // worker count.
 func WithWorkers(n int) Option { return func(o *sessionOpts) { o.workers = n } }
 
-// WithTraceCache points the session at a directory of reusable columnar
-// trace files, keyed by kernel, grid size, seed, and line size. On a hit
-// the emulator is skipped and the trace is loaded in streaming columnar
-// form; on a miss the kernel is traced column-first and saved for the
-// next session. Corrupt or unreadable cache entries are re-traced and
-// overwritten, never trusted.
+// WithTraceCache points the session at a directory of reusable trace
+// files, keyed by kernel, grid size, seed, and line size. On a hit the
+// emulator is skipped and the trace is loaded; on a miss the kernel is
+// traced and saved for the next session. Corrupt, unreadable or non-v2
+// cache entries are re-traced and overwritten, never trusted.
 func WithTraceCache(dir string) Option { return func(o *sessionOpts) { o.traceCache = dir } }
 
 // WithProfileStore points the session at a content-addressed, disk-
@@ -380,9 +379,9 @@ func NewSession(kernel string, opts ...Option) (*Session, error) {
 }
 
 // kernelTrace returns the session's trace, building it on first need:
-// straight from the emulator by default, or through the columnar trace
-// cache when one is configured. The build happens at most once; the
-// error, if any, is sticky (trace failures are deterministic).
+// straight from the emulator by default, or through the trace cache when
+// one is configured. The build happens at most once; the error, if any,
+// is sticky (trace failures are deterministic).
 func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 	s.lazy.mu.Lock()
 	defer s.lazy.mu.Unlock()
@@ -406,7 +405,8 @@ func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 		st.Observe(sp, o)
 	}
 	sp.End()
-	if o != nil && o.Metrics != nil {
+	// trace.kernels counts emulator runs, so a trace-cache hit adds none.
+	if st != nil && o != nil && o.Metrics != nil {
 		o.Counter("trace.kernels").Inc()
 		o.Counter("trace.instructions").Add(tr.TotalInsts())
 	}
@@ -417,10 +417,9 @@ func (s *Session) kernelTrace(o *obs.Observer) (*trace.Kernel, error) {
 	return tr, nil
 }
 
-// buildTrace produces a columnar kernel trace: straight from the
-// emulator by default, or through the columnar trace cache when one is
-// configured. Columnar is a quarter the size of rows, and once prep is
-// memoized the trace is the largest thing a session holds. The emulator
+// buildTrace produces the kernel trace: straight from the emulator by
+// default, or through the trace cache when one is configured. Once prep
+// is memoized the trace is the largest thing a session holds. The emulator
 // runs blocks on up to workers goroutines (resolved by parallel.Workers);
 // the stats say how, and are nil when a cached trace was loaded instead.
 func buildTrace(info *kernels.Info, blocks int, seed int64, line, workers int, cacheDir string) (*trace.Kernel, *emu.Stats, error) {
@@ -429,7 +428,7 @@ func buildTrace(info *kernels.Info, blocks int, seed int64, line, workers int, c
 	if cacheDir != "" {
 		path = filepath.Join(cacheDir,
 			fmt.Sprintf("%s_b%d_s%d_l%d.trace", info.Name, blocks, seed, line))
-		if tr, err := trace.LoadStream(path); err == nil && tr.Name == info.Name {
+		if tr, err := trace.Load(path); err == nil && tr.Name == info.Name {
 			return tr, nil, nil
 		}
 	}
@@ -439,7 +438,7 @@ func buildTrace(info *kernels.Info, blocks int, seed int64, line, workers int, c
 	}
 	st := new(emu.Stats)
 	l.Workers, l.Stats = workers, st
-	tr, err := emu.RunColumnar(l)
+	tr, err := emu.Run(l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -456,9 +455,9 @@ func buildTrace(info *kernels.Info, blocks int, seed int64, line, workers int, c
 }
 
 // NewSessionFromTraceFile opens a session over a saved trace file instead
-// of running the emulator. Columnar (v2) traces stay columnar: evaluation
-// streams the records through cursors without materializing row slices.
-// The kernel name is taken from the file and need not be a bundled kernel.
+// of running the emulator. Evaluation streams the records through
+// cursors. The kernel name is taken from the file and need not be a
+// bundled kernel.
 func NewSessionFromTraceFile(path string, opts ...Option) (*Session, error) {
 	o := sessionOpts{seed: 1, line: 128}
 	for _, fn := range opts {
@@ -466,7 +465,7 @@ func NewSessionFromTraceFile(path string, opts ...Option) (*Session, error) {
 	}
 	sp := o.obs.StartSpan("trace-load")
 	sp.SetStr("path", path)
-	tr, err := trace.LoadStream(path)
+	tr, err := trace.Load(path)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -477,8 +476,7 @@ func NewSessionFromTraceFile(path string, opts ...Option) (*Session, error) {
 	return sessionFromTrace(tr, o), nil
 }
 
-// sessionFromTrace opens a session over an already-built trace, keeping
-// its layout (rows or columns) as it is.
+// sessionFromTrace opens a session over an already-built trace.
 func sessionFromTrace(tr *trace.Kernel, o sessionOpts) *Session {
 	info, _ := kernels.Get(tr.Name) // best-effort metadata; nil is fine
 	return &Session{

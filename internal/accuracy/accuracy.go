@@ -232,7 +232,7 @@ func (s *kernelSpec) trace(opt *Options, lineBytes int) (*trace.Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return emu.RunColumnar(l)
+	return emu.Run(l)
 }
 
 // Run executes the differential sweep and builds the report.

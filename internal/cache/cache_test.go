@@ -143,9 +143,20 @@ func buildMemTrace(recs [][]trace.Rec) *trace.Kernel {
 	prog.Instrs[7] = isa.Instr{Op: isa.OpExit}
 	k := &trace.Kernel{Name: "synth", Prog: prog, Blocks: len(recs), WarpsPerBlock: 1, LineBytes: 128}
 	for b, rs := range recs {
-		k.Warps = append(k.Warps, &trace.WarpTrace{BlockID: b, WarpID: 0, Recs: rs})
+		k.Warps = append(k.Warps, colWarp(b, 0, rs))
 	}
 	return k
+}
+
+// colWarp encodes recs as warp w of block b, as the emulator's sink does.
+func colWarp(b, w int, recs []trace.Rec) *trace.WarpTrace {
+	var cb trace.ColBuilder
+	for i := range recs {
+		if err := cb.Append(&recs[i]); err != nil {
+			panic(err)
+		}
+	}
+	return &trace.WarpTrace{BlockID: b, WarpID: w, ColWarp: cb.Finish()}
 }
 
 func ld(pc int, lines ...uint64) trace.Rec {
@@ -312,8 +323,8 @@ func TestSimulateRoundRobinInterleaving(t *testing.T) {
 	prog.Instrs[1] = isa.Instr{Op: isa.OpExit}
 	k := &trace.Kernel{Name: "rr", Prog: prog, Blocks: 1, WarpsPerBlock: 2, LineBytes: 128,
 		Warps: []*trace.WarpTrace{
-			{BlockID: 0, WarpID: 0, Recs: []trace.Rec{ld(0, 0x1000), ld(0, 0x2000)}},
-			{BlockID: 0, WarpID: 1, Recs: []trace.Rec{ld(0, 0x1000), ld(0, 0x2000)}},
+			colWarp(0, 0, []trace.Rec{ld(0, 0x1000), ld(0, 0x2000)}),
+			colWarp(0, 1, []trace.Rec{ld(0, 0x1000), ld(0, 0x2000)}),
 		}}
 	prof, err := Simulate(k, cfg)
 	if err != nil {

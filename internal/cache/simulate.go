@@ -61,12 +61,11 @@ func Simulate(k *trace.Kernel, cfg config.Config) (*Profile, error) {
 }
 
 // warpCursor walks the global-memory instructions of one warp trace
-// through the storage-agnostic record cursor, decoding columnar warps one
-// record at a time. The underlying cursor's current record stays valid
+// through its record cursor, decoding one record at a time. The underlying cursor's current record stays valid
 // until the next advance, which lets done() peek at the next qualifying
 // record without copying it.
 type warpCursor struct {
-	cur       trace.RecCursor
+	cur       *trace.ColCursor
 	peeked    bool // cur is parked on an unconsumed qualifying record
 	exhausted bool
 	err       error

@@ -102,8 +102,8 @@ func encodeSeed(prog *isa.Program) []byte {
 // crashing is not.
 //
 // It is also the parallel emulator's differential target. The launch has
-// four blocks and runs sequentially, at two workers in columnar layout
-// and at three in row layout: every run must return the same error text,
+// four blocks and runs sequentially, at two workers and at three: every
+// run must return the same error text,
 // or else the same trace encoding and the same final memory. Random
 // programs load and store at lane- and block-dependent addresses, so one
 // block range often reads what an earlier one wrote, and the sequential
@@ -144,13 +144,9 @@ func FuzzEmuAcceptsVerifiedPrograms(f *testing.F) {
 		}
 		// Checker-accepted: the emulator must not panic. Errors are fine,
 		// but the worker count must not change any outcome.
-		run := func(workers int, columnar bool) (enc []byte, mem *memory.Memory, err error) {
-			emulate := emu.Run
-			if columnar {
-				emulate = emu.RunColumnar
-			}
+		run := func(workers int) (enc []byte, mem *memory.Memory, err error) {
 			mem = memory.New()
-			k, err := emulate(emu.Launch{
+			k, err := emu.Run(emu.Launch{
 				Prog:            prog,
 				Blocks:          launch.Blocks,
 				ThreadsPerBlock: launch.ThreadsPerBlock,
@@ -168,21 +164,18 @@ func FuzzEmuAcceptsVerifiedPrograms(f *testing.F) {
 			}
 			return buf.Bytes(), mem, nil
 		}
-		seqEnc, seqMem, seqErr := run(1, true)
-		for _, leg := range []struct {
-			workers  int
-			columnar bool
-		}{{2, true}, {3, false}} {
-			parEnc, parMem, parErr := run(leg.workers, leg.columnar)
+		seqEnc, seqMem, seqErr := run(1)
+		for _, workers := range []int{2, 3} {
+			parEnc, parMem, parErr := run(workers)
 			switch {
 			case seqErr != nil || parErr != nil:
 				if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
-					t.Fatalf("errors differ: 1 worker %v, %d workers %v", seqErr, leg.workers, parErr)
+					t.Fatalf("errors differ: 1 worker %v, %d workers %v", seqErr, workers, parErr)
 				}
 			case !bytes.Equal(seqEnc, parEnc):
-				t.Fatalf("trace encodings differ between 1 and %d workers", leg.workers)
+				t.Fatalf("trace encodings differ between 1 and %d workers", workers)
 			case !seqMem.Equal(parMem):
-				t.Fatalf("final memory differs between 1 and %d workers", leg.workers)
+				t.Fatalf("final memory differs between 1 and %d workers", workers)
 			}
 		}
 	})

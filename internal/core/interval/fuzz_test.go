@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"slices"
 	"testing"
 
 	"gpumech/internal/isa"
@@ -39,7 +40,12 @@ func FuzzBuild(f *testing.F) {
 			}
 			if raw[i]%5 == 0 {
 				r.Op = isa.OpLdG
+				// Coalesced lines are strictly ascending, as the trace
+				// format requires: sort and dedupe the pair rather than
+				// discard the input.
 				r.Lines = []uint64{uint64(raw[i+1]) * 128, uint64(raw[i+2]) * 128}
+				slices.Sort(r.Lines)
+				r.Lines = slices.Compact(r.Lines)
 			} else if raw[i]%7 == 0 {
 				r.Op = isa.OpStG
 				r.Dst = isa.RegNone
@@ -47,8 +53,7 @@ func FuzzBuild(f *testing.F) {
 			}
 			recs = append(recs, r)
 		}
-		w := &trace.WarpTrace{Recs: recs}
-		p, err := Build(w, 16, 1, tbl)
+		p, err := Build(colWarp(t, recs), 16, 1, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}

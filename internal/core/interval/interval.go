@@ -172,7 +172,7 @@ func Build(w *trace.WarpTrace, numRegs int, issueRate float64, t *PCTable) (*Pro
 // model ever needs, since a register's live producer is its last writer.
 // Peak memory is therefore O(numRegs) plus the cursor's decode window,
 // independent of how long the trace is.
-func BuildCursor(cur trace.RecCursor, numRegs int, issueRate float64, t *PCTable) (*Profile, error) {
+func BuildCursor(cur *trace.ColCursor, numRegs int, issueRate float64, t *PCTable) (*Profile, error) {
 	p, _, err := buildCursor(cur, numRegs, issueRate, t, true)
 	return p, err
 }
@@ -189,7 +189,7 @@ func Summarize(w *trace.WarpTrace, numRegs int, issueRate float64, t *PCTable) (
 
 // buildCursor is BuildCursor, keeping the intervals only when keep is
 // set; n counts them either way.
-func buildCursor(cur trace.RecCursor, numRegs int, issueRate float64, t *PCTable, keep bool) (p *Profile, n int, err error) {
+func buildCursor(cur *trace.ColCursor, numRegs int, issueRate float64, t *PCTable, keep bool) (p *Profile, n int, err error) {
 	if issueRate <= 0 {
 		return nil, 0, fmt.Errorf("interval: issue rate must be positive, got %g", issueRate)
 	}

@@ -31,10 +31,21 @@ func table(lat ...float64) *PCTable {
 	}
 }
 
+// colWarp encodes recs as a warp, as the emulator's sink does.
+func colWarp(tb testing.TB, recs []trace.Rec) *trace.WarpTrace {
+	tb.Helper()
+	var b trace.ColBuilder
+	for i := range recs {
+		if err := b.Append(&recs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return &trace.WarpTrace{ColWarp: b.Finish()}
+}
+
 func build(t *testing.T, recs []trace.Rec, tbl *PCTable) *Profile {
 	t.Helper()
-	w := &trace.WarpTrace{Recs: recs}
-	p, err := Build(w, 16, 1, tbl)
+	p, err := Build(colWarp(t, recs), 16, 1, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestStoreDoesNotStall(t *testing.T) {
 }
 
 func TestValidationErrors(t *testing.T) {
-	w := &trace.WarpTrace{Recs: []trace.Rec{rec(0, isa.OpIAdd, 1)}}
+	w := colWarp(t, []trace.Rec{rec(0, isa.OpIAdd, 1)})
 	if _, err := Build(w, 16, 0, table(1)); err == nil {
 		t.Error("zero issue rate accepted")
 	}
@@ -265,7 +276,7 @@ func TestQuickConservation(t *testing.T) {
 			}
 			recs = append(recs, rec(pc, isa.OpIAdd, dst, srcs...))
 		}
-		w := &trace.WarpTrace{Recs: recs}
+		w := colWarp(t, recs)
 		p, err := Build(w, 16, 1, tbl)
 		if err != nil {
 			return false
@@ -294,7 +305,7 @@ func TestQuickMonotoneLatency(t *testing.T) {
 		for i := 0; i < n; i++ {
 			recs = append(recs, rec(0, isa.OpIAdd, isa.Reg(r.Intn(6)), isa.Reg(r.Intn(6))))
 		}
-		w := &trace.WarpTrace{Recs: recs}
+		w := colWarp(t, recs)
 		lo, err := Build(w, 16, 1, table(2))
 		if err != nil {
 			return false

@@ -27,7 +27,7 @@ func noStallColWarp(tb testing.TB, n int) *trace.WarpTrace {
 			tb.Fatal(err)
 		}
 	}
-	return trace.NewColWarpTrace(0, 0, b.Finish())
+	return &trace.WarpTrace{ColWarp: b.Finish()}
 }
 
 // TestBuildAllocsIndependentOfLength is the O(window) gate: Build over a
@@ -62,29 +62,6 @@ func BenchmarkBuildCursorLength(b *testing.B) {
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		w := noStallColWarp(b, n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Build(w, 16, 1, tbl); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkBuildRowVsCol compares the two storage layouts on the same
-// records: the columnar path decodes varints as it goes, the row path
-// reads structs — the delta is the streaming tax on the hot loop.
-func BenchmarkBuildRowVsCol(b *testing.B) {
-	tbl := table(1, 8)
-	col := noStallColWarp(b, 100_000)
-	recs, err := col.Rows()
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := &trace.WarpTrace{Recs: recs}
-	for name, w := range map[string]*trace.WarpTrace{"row": row, "col": col} {
-		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(w, 16, 1, tbl); err != nil {

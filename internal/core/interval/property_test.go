@@ -3,6 +3,7 @@ package interval
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gpumech/internal/isa"
@@ -79,6 +80,10 @@ func randomTrace(rng *rand.Rand) ([]trace.Rec, *PCTable) {
 			for l := 0; l < lines; l++ {
 				r.Lines = append(r.Lines, uint64(rng.Intn(1024))*128)
 			}
+			// Coalesced lines are strictly ascending, as the trace format
+			// requires.
+			slices.Sort(r.Lines)
+			r.Lines = slices.Compact(r.Lines)
 		}
 		recs = append(recs, r)
 	}
@@ -96,7 +101,7 @@ func TestPropertyConservation(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		recs, tbl := randomTrace(rng)
 		issueRate := []float64{0.5, 1, 2}[rng.Intn(3)]
-		p, err := Build(&trace.WarpTrace{Recs: recs}, genNumRegs, issueRate, tbl)
+		p, err := Build(colWarp(t, recs), genNumRegs, issueRate, tbl)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -150,7 +155,7 @@ func TestPropertyDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		recs, tbl := randomTrace(rng)
-		w := &trace.WarpTrace{Recs: recs}
+		w := colWarp(t, recs)
 		a, err := Build(w, genNumRegs, 1, tbl)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +182,7 @@ func TestPropertySummarizeMatchesBuild(t *testing.T) {
 			tbl.MergeWindow = 50
 		}
 		issueRate := []float64{1, 0.5, 2}[trial%3]
-		w := &trace.WarpTrace{Recs: recs}
+		w := colWarp(t, recs)
 		full, err := Build(w, genNumRegs, issueRate, tbl)
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +207,7 @@ func TestPropertyStallCauses(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
 		recs, tbl := randomTrace(rng)
-		p, err := Build(&trace.WarpTrace{Recs: recs}, genNumRegs, 1, tbl)
+		p, err := Build(colWarp(t, recs), genNumRegs, 1, tbl)
 		if err != nil {
 			t.Fatal(err)
 		}

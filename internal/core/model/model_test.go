@@ -170,7 +170,7 @@ func TestStructuralRepsMatchesStructural(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err := info.TraceColumnar(kernels.Scale{Blocks: 16, Seed: 1}, 128)
+		k, err := info.Trace(kernels.Scale{Blocks: 16, Seed: 1}, 128)
 		if err != nil {
 			t.Fatal(err)
 		}

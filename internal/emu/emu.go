@@ -10,17 +10,14 @@
 // be reached by every live warp of a block (the structured builders in
 // internal/isa guarantee this for the bundled kernels).
 //
-// Run and RunColumnar split the grid into one contiguous block range per
-// worker and emulate the ranges concurrently, each over a private
-// copy-on-write overlay of global memory (memory.Overlay). The result is
-// exactly the sequential emulator's: the ranges' warps are spliced in
-// launch order and their written bytes replayed into the launch memory in
-// range order, and a launch is rerun sequentially from its untouched
-// memory when a range read a 64-byte chunk an earlier range wrote, when
-// any range failed, or when the ranges together ran out of the record
-// budget.
-// RunSink, which streams into one caller-supplied sink, always runs the
-// blocks in order.
+// Run splits the grid into one contiguous block range per worker and
+// emulates the ranges concurrently, each over a private copy-on-write
+// overlay of global memory (memory.Overlay). The result is exactly the
+// sequential emulator's: the ranges' warps are spliced in launch order
+// and their written bytes replayed into the launch memory in range order,
+// and a launch is rerun sequentially from its untouched memory when a
+// range read a 64-byte chunk an earlier range wrote, when any range
+// failed, or when the ranges together ran out of the record budget.
 package emu
 
 import (
@@ -57,18 +54,17 @@ type Launch struct {
 	// checker rejects.
 	SkipVerify bool
 
-	// Workers bounds the block ranges Run and RunColumnar emulate
-	// concurrently: 0 resolves through parallel.Workers (GPUMECH_WORKERS,
-	// then GOMAXPROCS) and 1 runs the sequential emulator. Traces, final
-	// memory and errors are identical at any count. RunSink ignores it.
+	// Workers bounds the block ranges Run emulates concurrently: 0
+	// resolves through parallel.Workers (GPUMECH_WORKERS, then
+	// GOMAXPROCS) and 1 runs the sequential emulator. Traces, final
+	// memory and errors are identical at any count.
 	Workers int
 
-	// Stats, when non-nil, receives how Run or RunColumnar emulated the
-	// launch.
+	// Stats, when non-nil, receives how Run emulated the launch.
 	Stats *Stats
 }
 
-// Stats reports how Run or RunColumnar emulated a launch.
+// Stats reports how Run emulated a launch.
 type Stats struct {
 	Workers  int      // block ranges emulated concurrently; 1 is the sequential emulator
 	Fallback Fallback // why a concurrent run was discarded for a sequential one
@@ -150,26 +146,10 @@ func (l *Launch) normalize() error {
 	return nil
 }
 
-// Run executes the launch and returns the kernel trace in row layout
-// (warps hold a Recs slice, as tests and direct consumers expect).
+// Run executes the launch and returns the kernel trace. Records are
+// encoded into per-warp column streams as they execute, so no []Rec is
+// ever built and the trace can be saved or streamed directly.
 func Run(l Launch) (*trace.Kernel, error) {
-	return runBuild(l, false)
-}
-
-// RunColumnar executes the launch and returns the kernel trace in
-// columnar layout: records are encoded into per-warp column streams as
-// they execute, so no intermediate []Rec is ever built and the trace can
-// be saved or streamed directly.
-func RunColumnar(l Launch) (*trace.Kernel, error) {
-	return runBuild(l, true)
-}
-
-type kernelSink interface {
-	trace.Sink
-	Kernel() *trace.Kernel
-}
-
-func runBuild(l Launch, columnar bool) (*trace.Kernel, error) {
 	if err := l.normalize(); err != nil {
 		return nil, err
 	}
@@ -180,12 +160,6 @@ func runBuild(l Launch, columnar bool) (*trace.Kernel, error) {
 		WarpsPerBlock: l.ThreadsPerBlock / l.WarpSize,
 		LineBytes:     l.LineBytes,
 	}
-	newSink := func() kernelSink {
-		if columnar {
-			return trace.NewColKernelBuilder(meta)
-		}
-		return trace.NewRowBuilder(meta)
-	}
 	st := Stats{Workers: min(parallel.Workers(l.Workers), l.Blocks)}
 	if l.Stats != nil {
 		defer func() { *l.Stats = st }()
@@ -195,13 +169,13 @@ func runBuild(l Launch, columnar bool) (*trace.Kernel, error) {
 			return nil, err
 		}
 		var k *trace.Kernel
-		if k, st.Fallback = runRanges(&l, newSink, st.Workers); k != nil {
+		if k, st.Fallback = runRanges(&l, meta, st.Workers); k != nil {
 			return k, nil
 		}
 		l.SkipVerify = true // the pre-flight passed above
 	}
-	sink := newSink()
-	if err := RunSink(l, sink); err != nil {
+	sink := trace.NewColKernelBuilder(meta)
+	if err := runSink(l, sink); err != nil {
 		return nil, err
 	}
 	k := sink.Kernel()
@@ -211,11 +185,11 @@ func runBuild(l Launch, columnar bool) (*trace.Kernel, error) {
 	return k, nil
 }
 
-// RunSink executes the launch, streaming every trace record into sink as
-// it executes. The records passed to Emit (including their Lines slices)
-// are only valid for the duration of the call — sinks that retain them
-// must copy.
-func RunSink(l Launch, sink trace.Sink) error {
+// runSink executes the launch on the sequential emulator, streaming every
+// trace record into sink as it executes. The records passed to Emit
+// (including their Lines slices) are only valid for the duration of the
+// call — sinks that retain them must copy.
+func runSink(l Launch, sink trace.Sink) error {
 	if err := l.normalize(); err != nil {
 		return err
 	}
@@ -265,7 +239,7 @@ func (b *block) runBlocks(lo, hi int) error {
 }
 
 // Errors that end a block range early. Neither reaches a caller: either
-// makes runBuild rerun the launch sequentially, which reports the
+// makes Run rerun the launch sequentially, which reports the
 // sequential emulator's own error, if any.
 var (
 	errBudget  = errors.New("emu: block ranges ran out of the launch's record budget")
@@ -318,7 +292,7 @@ type blockRange struct {
 // parallel. It returns the spliced kernel, with the ranges' writes
 // committed to l.Mem, or nil and the reason the launch must instead run
 // sequentially; l.Mem is then untouched.
-func runRanges(l *Launch, newSink func() kernelSink, workers int) (*trace.Kernel, Fallback) {
+func runRanges(l *Launch, meta trace.KernelMeta, workers int) (*trace.Kernel, Fallback) {
 	pool := &budgetPool{chunk: max(1, min(budgetChunk, l.MaxRecs/int64(4*workers)))}
 	pool.left.Store(l.MaxRecs)
 	ranges := make([]blockRange, workers)
@@ -334,10 +308,10 @@ func runRanges(l *Launch, newSink func() kernelSink, workers int) (*trace.Kernel
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.run(l, newSink(), pool)
+			r.run(l, trace.NewColKernelBuilder(meta), pool)
 		}()
 	}
-	ranges[0].run(l, newSink(), pool)
+	ranges[0].run(l, trace.NewColKernelBuilder(meta), pool)
 	wg.Wait()
 
 	// The lowest failing range names the reason; ranges stopped because
@@ -370,7 +344,7 @@ func runRanges(l *Launch, newSink func() kernelSink, workers int) (*trace.Kernel
 }
 
 // run emulates r's blocks over its overlay and validates their warps.
-func (r *blockRange) run(l *Launch, sink kernelSink, pool *budgetPool) {
+func (r *blockRange) run(l *Launch, sink *trace.ColKernelBuilder, pool *budgetPool) {
 	blk := newBlock(l, l.ThreadsPerBlock/l.WarpSize)
 	blk.mem = r.ov
 	blk.pool = pool
@@ -411,7 +385,7 @@ type globalMem interface {
 	Write(addr uint64, size int, v uint64)
 }
 
-// block is the execution state of one thread block. RunSink, and each
+// block is the execution state of one thread block. runSink, and each
 // block range, allocates one and resets it for every block it runs, so
 // emulation allocates per launch, not per block or per record.
 type block struct {

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gpumech/internal/isa"
@@ -20,6 +21,22 @@ func run(t *testing.T, prog *isa.Program, threads, sharedBytes int, m *memory.Me
 		t.Fatal(err)
 	}
 	return k, m
+}
+
+// recsOf decodes w's records, each with its own copy of its lines.
+func recsOf(t *testing.T, w *trace.WarpTrace) []trace.Rec {
+	t.Helper()
+	var recs []trace.Rec
+	cur := w.Cursor()
+	for cur.Next() {
+		r := *cur.Rec()
+		r.Lines = slices.Clone(r.Lines)
+		recs = append(recs, r)
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // outBase is where test kernels store per-thread results.
@@ -411,7 +428,7 @@ func TestTraceRecordsDependencies(t *testing.T) {
 	b.If(p, func() { b.Nop() })
 	prog := b.MustBuild()
 	k, _ := run(t, prog, 32, 0, nil)
-	recs := k.Warps[0].Recs
+	recs := recsOf(t, k.Warps[0])
 
 	// Find the setp and the branch; the branch must read the predicate
 	// the setp wrote, in the unified namespace.
@@ -460,7 +477,7 @@ func TestTraceCoalescingRecorded(t *testing.T) {
 	prog := b.MustBuild()
 	k, _ := run(t, prog, 32, 0, nil)
 	var reqCounts []int
-	for _, r := range k.Warps[0].Recs {
+	for _, r := range recsOf(t, k.Warps[0]) {
 		if r.Op == isa.OpLdG {
 			reqCounts = append(reqCounts, r.NumReqs())
 		}
@@ -495,7 +512,7 @@ func TestPredicatedMemMask(t *testing.T) {
 			t.Fatalf("lane %d stored %d, want %d", i, got, want)
 		}
 	}
-	for _, r := range k.Warps[0].Recs {
+	for _, r := range recsOf(t, k.Warps[0]) {
 		if r.Op == isa.OpStG {
 			if r.Mask != 0xF {
 				t.Errorf("store mask = %#x, want 0xF", r.Mask)
@@ -551,8 +568,9 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal("nondeterministic instruction count")
 	}
 	for w := range k1.Warps {
-		for i := range k1.Warps[w].Recs {
-			a, c := k1.Warps[w].Recs[i], k2.Warps[w].Recs[i]
+		recs1, recs2 := recsOf(t, k1.Warps[w]), recsOf(t, k2.Warps[w])
+		for i := range recs1 {
+			a, c := recs1[i], recs2[i]
 			if a.PC != c.PC || a.Mask != c.Mask {
 				t.Fatalf("warp %d rec %d differs", w, i)
 			}
@@ -571,7 +589,7 @@ func TestReconvergenceMaskRestored(t *testing.T) {
 	storePerLane(b, v)
 	prog := b.MustBuild()
 	k, _ := run(t, prog, 32, 0, nil)
-	for _, r := range k.Warps[0].Recs {
+	for _, r := range recsOf(t, k.Warps[0]) {
 		if r.Op == isa.OpStG && r.Mask != 0xFFFFFFFF {
 			t.Fatalf("post-reconvergence store mask = %#x", r.Mask)
 		}

@@ -24,18 +24,14 @@ type outcome struct {
 
 // emulate runs l at the given worker count. l.Mem must be fresh: the run
 // leaves its final contents there.
-func emulate(t *testing.T, l emu.Launch, workers int, columnar bool) outcome {
+func emulate(t *testing.T, l emu.Launch, workers int) outcome {
 	t.Helper()
 	if l.Mem == nil {
 		l.Mem = memory.New()
 	}
 	var o outcome
 	l.Workers, l.Stats = workers, &o.st
-	run := emu.Run
-	if columnar {
-		run = emu.RunColumnar
-	}
-	k, err := run(l)
+	k, err := emu.Run(l)
 	o.mem, o.err = l.Mem, err
 	if err == nil {
 		var buf bytes.Buffer
@@ -93,13 +89,13 @@ func TestWorkersByteIdentical(t *testing.T) {
 				}
 				return l
 			}
-			want := emulate(t, launch(), 1, true)
+			want := emulate(t, launch(), 1)
 			if want.err != nil {
 				t.Fatalf("%s/%d: %v", name, blocks, want.err)
 			}
 			for _, w := range workers {
 				what := fmt.Sprintf("%s/%d blocks/%d workers", name, blocks, w)
-				got := emulate(t, launch(), w, true)
+				got := emulate(t, launch(), w)
 				same(t, what, want, got)
 				if got.st.Workers != w {
 					t.Errorf("%s: ran %d block ranges", what, got.st.Workers)
@@ -107,9 +103,6 @@ func TestWorkersByteIdentical(t *testing.T) {
 				if got.st.Fallback != emu.FallbackNone {
 					fellBack = append(fellBack, fmt.Sprintf("%s: %v", what, got.st.Fallback))
 				}
-			}
-			if blocks == 64 {
-				same(t, name+" rows", want, emulate(t, launch(), 4, false))
 			}
 		}
 	}
@@ -160,8 +153,8 @@ func TestCrossRangeReadFallsBack(t *testing.T) {
 	})
 	l := emu.Launch{Prog: b.MustBuild(), Blocks: 2, ThreadsPerBlock: 64}
 
-	want := emulate(t, l, 1, true)
-	got := emulate(t, l, 2, true)
+	want := emulate(t, l, 1)
+	got := emulate(t, l, 2)
 	same(t, "handoff", want, got)
 	if got.st.Fallback != emu.FallbackConflict {
 		t.Errorf("fallback = %v, want conflict", got.st.Fallback)
@@ -198,8 +191,8 @@ func TestSharedPageWritesMerge(t *testing.T) {
 		}
 		return emu.Launch{Prog: b.MustBuild(), Blocks: 8, ThreadsPerBlock: 32, Mem: m}
 	}
-	want := emulate(t, fresh(), 1, false)
-	got := emulate(t, fresh(), 4, false)
+	want := emulate(t, fresh(), 1)
+	got := emulate(t, fresh(), 4)
 	same(t, "partials", want, got)
 	if got.st.Fallback != emu.FallbackNone {
 		t.Errorf("fallback = %v, want none", got.st.Fallback)
@@ -235,11 +228,11 @@ func lastBlockFaults() *isa.Program {
 // the sequential error verbatim, with its block, warp and PC.
 func TestLastBlockFaultMatchesSequential(t *testing.T) {
 	l := emu.Launch{Prog: lastBlockFaults(), Blocks: 8, ThreadsPerBlock: 64, SharedBytes: 256}
-	want := emulate(t, l, 1, true)
+	want := emulate(t, l, 1)
 	if want.err == nil || !strings.Contains(want.err.Error(), "outside 256-byte segment") {
 		t.Fatalf("sequential error %v, want a shared-memory fault", want.err)
 	}
-	got := emulate(t, l, 4, true)
+	got := emulate(t, l, 4)
 	same(t, "lastfault", want, got)
 	if got.st.Fallback != emu.FallbackError {
 		t.Errorf("fallback = %v, want error", got.st.Fallback)
@@ -260,11 +253,11 @@ func TestLastBlockBudgetMatchesSequential(t *testing.T) {
 	b.ForN(i, n, func() { b.IAddI(v, v, 1) })
 	l := emu.Launch{Prog: b.MustBuild(), Blocks: 8, ThreadsPerBlock: 64, MaxRecs: 20_000}
 
-	want := emulate(t, l, 1, true)
+	want := emulate(t, l, 1)
 	if want.err == nil || !strings.Contains(want.err.Error(), "trace exceeds 20000 records") {
 		t.Fatalf("sequential error %v, want the record cap", want.err)
 	}
-	got := emulate(t, l, 4, true)
+	got := emulate(t, l, 4)
 	same(t, "lastrunaway", want, got)
 	if got.st.Fallback != emu.FallbackBudget {
 		t.Errorf("fallback = %v, want budget", got.st.Fallback)
@@ -280,17 +273,17 @@ func TestOneWorkerRunsSequentially(t *testing.T) {
 	for _, tc := range []struct{ workers, blocks, want int }{
 		{1, 8, 1}, {4, 1, 1}, {4, 2, 2}, {4, 8, 4},
 	} {
-		got := emulate(t, emu.Launch{Prog: prog, Blocks: tc.blocks, ThreadsPerBlock: 32}, tc.workers, true)
+		got := emulate(t, emu.Launch{Prog: prog, Blocks: tc.blocks, ThreadsPerBlock: 32}, tc.workers)
 		if got.err != nil || got.st.Workers != tc.want || got.st.Fallback != emu.FallbackNone {
 			t.Errorf("workers %d, blocks %d: stats %+v, err %v; want %d workers", tc.workers, tc.blocks, got.st, got.err, tc.want)
 		}
 	}
 }
 
-// BenchmarkRunColumnarWorkers emulates the cold-path kernels of the
+// BenchmarkRunWorkers emulates the cold-path kernels of the
 // first_contact benchmark at 128 blocks, sequentially and over two
 // block ranges. Building each launch's memory is left out of the time.
-func BenchmarkRunColumnarWorkers(b *testing.B) {
+func BenchmarkRunWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var insts int64
@@ -313,7 +306,7 @@ func BenchmarkRunColumnarWorkers(b *testing.B) {
 				b.StartTimer()
 				insts = 0
 				for _, l := range ls {
-					k, err := emu.RunColumnar(l)
+					k, err := emu.Run(l)
 					if err != nil {
 						b.Fatal(err)
 					}

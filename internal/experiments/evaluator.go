@@ -136,9 +136,10 @@ type Timing struct {
 	TraceInsts int64
 	TraceSecs  float64 // functional emulation (excluded from speedup, as in the paper)
 
-	// OneTimeSecs is the per-input profiling cost: interval profiles of
-	// every warp plus clustering. Per Section VI-D it is paid once per
-	// input and not again when exploring hardware configurations.
+	// OneTimeSecs is the per-input profiling cost: interval summaries of
+	// every warp, clustering, and full profiles of the representatives.
+	// Per Section VI-D it is paid once per input and not again when
+	// exploring hardware configurations.
 	OneTimeSecs float64
 
 	// Per-configuration costs: the cache simulation and the model
@@ -383,17 +384,12 @@ func (e *Evaluator) evalPoint(kc *kernelCtx, cfg config.Config, pol config.Polic
 
 	runModels := func() error {
 		modelStart := time.Now()
-		tbl := model.BuildPCTable(kc.tr.Prog, cfg, prof)
-		profiles, err := model.BuildWarpProfilesWorkers(kc.tr, cfg, tbl, e.workers)
-		if err != nil {
-			return err
-		}
-		rep, err := cluster.SelectObs(profiles, cluster.Clustering, po)
-		if err != nil {
-			return err
-		}
-
 		in := model.Inputs{Kernel: kc.tr, Cfg: cfg, Profile: prof, Policy: pol, Workers: e.workers, Obs: po}
+		tbl, profiles, reps, err := model.StructuralReps(in)
+		if err != nil {
+			return err
+		}
+		rep := reps[cluster.Clustering]
 		runLevel := func(lvl model.Level, rep int) (float64, cpistack.Stack, error) {
 			in.Level = lvl
 			est, err := model.RunWithRepresentative(in, tbl, profiles, rep)
@@ -417,19 +413,16 @@ func (e *Evaluator) evalPoint(kc *kernelCtx, cfg config.Config, pol config.Polic
 		if ev.Markov, err = baseline.MarkovChain(profiles[rep], cfg.WarpsPerCore); err != nil {
 			return err
 		}
-		if repMax, err := cluster.Select(profiles, cluster.Max); err == nil {
-			if ev.FullMax, _, err = runLevel(model.MTMSHRBand, repMax); err != nil {
-				return err
-			}
+		if ev.FullMax, _, err = runLevel(model.MTMSHRBand, reps[cluster.Max]); err != nil {
+			return err
 		}
-		if repMin, err := cluster.Select(profiles, cluster.Min); err == nil {
-			if ev.FullMin, _, err = runLevel(model.MTMSHRBand, repMin); err != nil {
-				return err
-			}
+		if ev.FullMin, _, err = runLevel(model.MTMSHRBand, reps[cluster.Min]); err != nil {
+			return err
 		}
 		if isBaseline {
-			// Everything up to here rebuilt every warp's interval profile
-			// and ran clustering: the one-time per-input cost.
+			// Everything up to here summarized every warp's intervals,
+			// ran clustering and profiled the Clustering, Max and Min
+			// representatives in full: the one-time per-input cost.
 			oneTimeSecs = time.Since(modelStart).Seconds()
 			// The per-configuration cost reruns the interval algorithm on
 			// the representative warp only and re-evaluates the models

@@ -38,7 +38,7 @@ func FuzzGenerate(f *testing.F) {
 			l.Blocks = 2
 		}
 		l.MaxRecs = 200_000
-		if _, err := emu.RunColumnar(l); err != nil {
+		if _, err := emu.Run(l); err != nil {
 			t.Fatalf("%s: emulate: %v", k.Name, err)
 		}
 	})

@@ -218,9 +218,9 @@ func (k *Kernel) Launch(lineBytes int) emu.Launch {
 	}
 }
 
-// Trace emulates the kernel and returns its columnar trace.
+// Trace emulates the kernel and returns its trace.
 func (k *Kernel) Trace(lineBytes int) (*trace.Kernel, error) {
-	return emu.RunColumnar(k.Launch(lineBytes))
+	return emu.Run(k.Launch(lineBytes))
 }
 
 // WarpsPerBlock returns the kernel's warps per block (warp size 32).

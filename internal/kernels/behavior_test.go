@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gpumech/internal/isa"
@@ -25,12 +26,27 @@ func traceOf(t *testing.T, name string) *trace.Kernel {
 	return tr
 }
 
-// stats over warp 0's global memory instructions.
-func memShape(tr *trace.Kernel) (loadReqsPerInst, storeReqsPerInst float64, loads, stores int) {
+// recsOf decodes w's records, each with its own copy of its lines.
+func recsOf(tb testing.TB, w *trace.WarpTrace) []trace.Rec {
+	tb.Helper()
+	var recs []trace.Rec
+	cur := w.Cursor()
+	for cur.Next() {
+		r := *cur.Rec()
+		r.Lines = slices.Clone(r.Lines)
+		recs = append(recs, r)
+	}
+	if err := cur.Err(); err != nil {
+		tb.Fatal(err)
+	}
+	return recs
+}
+
+// stats over the first eight warps' global memory instructions.
+func memShape(t *testing.T, tr *trace.Kernel) (loadReqsPerInst, storeReqsPerInst float64, loads, stores int) {
 	var loadReqs, storeReqs int
 	for _, w := range tr.Warps[:min(len(tr.Warps), 8)] {
-		for i := range w.Recs {
-			r := &w.Recs[i]
+		for _, r := range recsOf(t, w) {
 			switch r.Op {
 			case isa.OpLdG:
 				loads++
@@ -54,7 +70,7 @@ func TestKmeansInvertSignature(t *testing.T) {
 	// The paper's maximum-divergence kernel: divergent reads (one line per
 	// point) and divergent padded writes, both near the SIMT width.
 	tr := traceOf(t, "rodinia_kmeans_invert")
-	ld, st, loads, stores := memShape(tr)
+	ld, st, loads, stores := memShape(t, tr)
 	if loads == 0 || stores == 0 {
 		t.Fatal("kernel has no memory traffic")
 	}
@@ -70,7 +86,7 @@ func TestTransposePairSignatures(t *testing.T) {
 	// Naive transpose: coalesced loads, fully divergent stores. Shared
 	// transpose: both coalesced.
 	naive := traceOf(t, "sdk_transpose_naive")
-	ld, st, _, _ := memShape(naive)
+	ld, st, _, _ := memShape(t, naive)
 	if ld > 1.5 {
 		t.Errorf("naive transpose loads diverged: %.1f reqs/inst", ld)
 	}
@@ -78,7 +94,7 @@ func TestTransposePairSignatures(t *testing.T) {
 		t.Errorf("naive transpose stores = %.1f reqs/inst, want near 32", st)
 	}
 	shared := traceOf(t, "sdk_transpose_shared")
-	ld2, st2, _, _ := memShape(shared)
+	ld2, st2, _, _ := memShape(t, shared)
 	if ld2 > 1.5 || st2 > 1.5 {
 		t.Errorf("shared transpose not coalesced: loads %.1f stores %.1f", ld2, st2)
 	}
@@ -88,14 +104,14 @@ func TestCfdPairSignatures(t *testing.T) {
 	// step_factor is the paper's fully coalesced kernel; compute_flux has
 	// medium gather divergence ("up to 16 diverged requests").
 	sf := traceOf(t, "rodinia_cfd_step_factor")
-	ld, st, _, _ := memShape(sf)
+	ld, st, _, _ := memShape(t, sf)
 	if ld > 1.1 || st > 1.1 {
 		t.Errorf("step_factor not coalesced: loads %.2f stores %.2f", ld, st)
 	}
 	cf := traceOf(t, "rodinia_cfd_compute_flux")
 	maxReqs := 0
-	for i := range cf.Warps[0].Recs {
-		if r := &cf.Warps[0].Recs[i]; r.Op == isa.OpLdG && r.NumReqs() > maxReqs {
+	for _, r := range recsOf(t, cf.Warps[0]) {
+		if r.Op == isa.OpLdG && r.NumReqs() > maxReqs {
 			maxReqs = r.NumReqs()
 		}
 	}
@@ -109,8 +125,8 @@ func TestSharedMemoryKernelsUseBarriers(t *testing.T) {
 		"rodinia_hotspot", "rodinia_pathfinder", "sdk_transpose_shared", "rodinia_lud_diagonal"} {
 		tr := traceOf(t, name)
 		bars, smem := 0, 0
-		for i := range tr.Warps[0].Recs {
-			switch tr.Warps[0].Recs[i].Op {
+		for _, r := range recsOf(t, tr.Warps[0]) {
+			switch r.Op {
 			case isa.OpBar:
 				bars++
 			case isa.OpLdS, isa.OpStS:
@@ -130,8 +146,7 @@ func TestComputeBoundKernelsAreComputeBound(t *testing.T) {
 	for _, name := range []string{"sdk_blackscholes", "parboil_mriq", "rodinia_lavamd"} {
 		tr := traceOf(t, name)
 		mem, sfu, total := 0, 0, 0
-		for i := range tr.Warps[0].Recs {
-			r := &tr.Warps[0].Recs[i]
+		for _, r := range recsOf(t, tr.Warps[0]) {
 			total++
 			if r.Op.IsGlobal() {
 				mem++
@@ -157,12 +172,13 @@ func TestPointerChaseIsSerialized(t *testing.T) {
 	// Each load must transitively depend on the previous load (through
 	// the address computation). Walk ancestors with a DepTracker.
 	deps := trace.NewDepTracker(tr.Prog.NumRegs + tr.Prog.NumPreds)
-	parents := make([][]int, len(w.Recs))
+	recs := recsOf(t, w)
+	parents := make([][]int, len(recs))
 	var buf []int
-	for i := range w.Recs {
-		buf = deps.Sources(&w.Recs[i], buf[:0])
+	for i := range recs {
+		buf = deps.Sources(&recs[i], buf[:0])
 		parents[i] = append([]int(nil), buf...)
-		deps.Record(&w.Recs[i], i)
+		deps.Record(&recs[i], i)
 	}
 	dependsOn := func(from, target int) bool {
 		seen := map[int]bool{}
@@ -182,8 +198,8 @@ func TestPointerChaseIsSerialized(t *testing.T) {
 		return false
 	}
 	var loadIdx []int
-	for i := range w.Recs {
-		if w.Recs[i].Op == isa.OpLdG {
+	for i := range recs {
+		if recs[i].Op == isa.OpLdG {
 			loadIdx = append(loadIdx, i)
 		}
 	}
@@ -204,7 +220,7 @@ func TestHeterogeneousKernelsHaveWarpVariance(t *testing.T) {
 		tr := traceOf(t, name)
 		var counts []float64
 		for _, w := range tr.Warps {
-			counts = append(counts, float64(len(w.Recs)))
+			counts = append(counts, float64(w.Insts()))
 		}
 		mean, variance := meanVar(counts)
 		cv := math.Sqrt(variance) / mean
@@ -216,7 +232,7 @@ func TestHeterogeneousKernelsHaveWarpVariance(t *testing.T) {
 	tr := traceOf(t, "sdk_vectoradd")
 	var counts []float64
 	for _, w := range tr.Warps {
-		counts = append(counts, float64(len(w.Recs)))
+		counts = append(counts, float64(w.Insts()))
 	}
 	mean, variance := meanVar(counts)
 	if cv := math.Sqrt(variance) / mean; cv > 0.01 {
@@ -248,8 +264,7 @@ func TestWriteHeavyFlagMatchesTraffic(t *testing.T) {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
 		var loadReqs, storeReqs int
-		for i := range tr.Warps[0].Recs {
-			r := &tr.Warps[0].Recs[i]
+		for _, r := range recsOf(t, tr.Warps[0]) {
 			if r.Op == isa.OpLdG {
 				loadReqs += r.NumReqs()
 			}
@@ -326,8 +341,8 @@ func TestMyocyteIsSerialChain(t *testing.T) {
 	tr := traceOf(t, "extra_myocyte")
 	w := tr.Warps[0]
 	sfu := 0
-	for i := range w.Recs {
-		if w.Recs[i].Op.Class() == isa.ClassSFU {
+	for _, r := range recsOf(t, w) {
+		if r.Op.Class() == isa.ClassSFU {
 			sfu++
 		}
 	}
@@ -342,8 +357,7 @@ func TestBinomialDivergenceDecay(t *testing.T) {
 	tr := traceOf(t, "extra_binomial_options")
 	w := tr.Warps[len(tr.Warps)-1] // the last warp of a block loses lanes first
 	partial, bars := 0, 0
-	for i := range w.Recs {
-		r := &w.Recs[i]
+	for _, r := range recsOf(t, w) {
 		if r.Op == isa.OpBar {
 			bars++
 		}
@@ -375,9 +389,9 @@ func TestBfsQueueTwoLevelGather(t *testing.T) {
 	tr := traceOf(t, "extra_bfs_queue")
 	w := tr.Warps[0]
 	var reqCounts []int
-	for i := range w.Recs {
-		if w.Recs[i].Op == isa.OpLdG {
-			reqCounts = append(reqCounts, w.Recs[i].NumReqs())
+	for _, r := range recsOf(t, w) {
+		if r.Op == isa.OpLdG {
+			reqCounts = append(reqCounts, r.NumReqs())
 		}
 	}
 	if len(reqCounts) < 3 {

@@ -112,7 +112,7 @@ func (k *Info) Build(s Scale) (*Launch, error) {
 }
 
 // Trace builds the kernel and runs the functional emulator, returning the
-// per-warp trace in row layout.
+// per-warp trace.
 func (k *Info) Trace(s Scale, lineBytes int) (*trace.Kernel, error) {
 	l, err := k.EmuLaunch(s, lineBytes)
 	if err != nil {
@@ -121,20 +121,9 @@ func (k *Info) Trace(s Scale, lineBytes int) (*trace.Kernel, error) {
 	return emu.Run(l)
 }
 
-// TraceColumnar is Trace with the records encoded straight into columnar
-// per-warp column streams during emulation — the memory-lean form for
-// saving traces to disk or streaming them through cursors.
-func (k *Info) TraceColumnar(s Scale, lineBytes int) (*trace.Kernel, error) {
-	l, err := k.EmuLaunch(s, lineBytes)
-	if err != nil {
-		return nil, err
-	}
-	return emu.RunColumnar(l)
-}
-
 // EmuLaunch builds the kernel at the given scale and returns the launch
-// Trace and TraceColumnar emulate, for callers that set the emulator's
-// own options (Workers, Stats) or read the final memory.
+// Trace emulates, for callers that set the emulator's own options
+// (Workers, Stats) or read the final memory.
 func (k *Info) EmuLaunch(s Scale, lineBytes int) (emu.Launch, error) {
 	l, err := k.Build(s)
 	if err != nil {

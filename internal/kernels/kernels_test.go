@@ -69,12 +69,16 @@ func TestKernelTraceShapes(t *testing.T) {
 			}
 			maxReqs := 0
 			for _, w := range kt.Warps {
-				for i := range w.Recs {
-					if r := &w.Recs[i]; r.IsGlobalMem() {
+				cur := w.Cursor()
+				for cur.Next() {
+					if r := cur.Rec(); r.IsGlobalMem() {
 						if n := r.NumReqs(); n > maxReqs {
 							maxReqs = n
 						}
 					}
+				}
+				if err := cur.Err(); err != nil {
+					t.Fatal(err)
 				}
 			}
 			switch k.MemDiv {
@@ -110,7 +114,7 @@ func TestKernelDeterminism(t *testing.T) {
 		t.Fatalf("instruction counts differ: %d vs %d", t1.TotalInsts(), t2.TotalInsts())
 	}
 	for wi := range t1.Warps {
-		a, b := t1.Warps[wi].Recs, t2.Warps[wi].Recs
+		a, b := recsOf(t, t1.Warps[wi]), recsOf(t, t2.Warps[wi])
 		if len(a) != len(b) {
 			t.Fatalf("warp %d lengths differ", wi)
 		}

@@ -703,7 +703,7 @@ func (s *Server) kernelCensusAll() (map[string]kernelCensus, error) {
 			if err != nil {
 				return fmt.Errorf("census of %s: %w", names[i], err)
 			}
-			tr, err := emu.RunColumnar(l)
+			tr, err := emu.Run(l)
 			if err != nil {
 				return fmt.Errorf("census of %s: %w", names[i], err)
 			}

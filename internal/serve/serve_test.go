@@ -497,7 +497,7 @@ func TestCensusEmulatesSequentially(t *testing.T) {
 	}
 	var st emu.Stats
 	l.Stats = &st
-	if _, err := emu.RunColumnar(l); err != nil {
+	if _, err := emu.Run(l); err != nil {
 		t.Fatal(err)
 	}
 	if st.Workers != 1 {

@@ -243,11 +243,11 @@ type blockState struct {
 }
 
 type warpState struct {
-	// cur streams the warp's records (columnar warps decode on the fly);
+	// cur streams the warp's records, decoding them on the fly;
 	// r caches the current — not yet issued — record, nil once the trace
 	// is exhausted. pos counts issued-or-current records for the probe
 	// memo; insts is the warp's total, for diagnostics.
-	cur      trace.RecCursor
+	cur      *trace.ColCursor
 	r        *trace.Rec
 	pos      int
 	insts    int
@@ -695,8 +695,8 @@ func (s *sim) issue(co *core, w *warpState, now int64) {
 }
 
 // advance moves the warp to its next record, caching it in w.r (nil at
-// end of trace). A decode error from columnar storage is returned and the
-// warp treated as exhausted.
+// end of trace). A decode error is returned and the warp treated as
+// exhausted.
 func (w *warpState) advance() error {
 	if w.cur.Next() {
 		w.r = w.cur.Rec()

@@ -72,8 +72,14 @@ func kernel(warpsPerBlock int, warps ...[]trace.Rec) *trace.Kernel {
 	k := &trace.Kernel{Name: "t", Prog: testProg(), Blocks: len(warps) / warpsPerBlock,
 		WarpsPerBlock: warpsPerBlock, LineBytes: 128}
 	for i, recs := range warps {
+		var cb trace.ColBuilder
+		for j := range recs {
+			if err := cb.Append(&recs[j]); err != nil {
+				panic(err)
+			}
+		}
 		k.Warps = append(k.Warps, &trace.WarpTrace{
-			BlockID: i / warpsPerBlock, WarpID: i % warpsPerBlock, Recs: recs,
+			BlockID: i / warpsPerBlock, WarpID: i % warpsPerBlock, ColWarp: cb.Finish(),
 		})
 	}
 	return k

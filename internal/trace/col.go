@@ -27,10 +27,9 @@ import (
 //	        (varints; lines are sorted strictly ascending, so deltas are
 //	        positive and small for coalesced access patterns)
 //
-// This layout is both the on-disk format (see colfmt.go) and an in-memory
-// representation: ColCursor decodes records one at a time into a reusable
-// buffer, so consumers iterating through RecCursor never materialize the
-// row form.
+// This layout is both the on-disk format (see serialize.go) and the only
+// in-memory representation: ColCursor decodes records one at a time into
+// a reusable buffer, so consumers never materialize a []Rec.
 type ColWarp struct {
 	n        int // record count
 	memInsts int // global-memory records
@@ -138,9 +137,10 @@ func (b *ColBuilder) flushMaskRun() {
 // be reused for another warp; its streams keep their capacity as scratch,
 // so a reused builder stops reallocating once it has seen its largest
 // warp.
-func (b *ColBuilder) Finish() *ColWarp {
+func (b *ColBuilder) Finish() ColWarp {
 	b.flushMaskRun()
-	src, cw := &b.cw, &ColWarp{n: b.cw.n, memInsts: b.cw.memInsts, memReqs: b.cw.memReqs}
+	src := &b.cw
+	cw := ColWarp{n: src.n, memInsts: src.memInsts, memReqs: src.memReqs}
 	buf := make([]byte, 0, src.SizeBytes())
 	dst := cw.streams()
 	for i, col := range src.streams() {
@@ -162,21 +162,18 @@ func (c *ColWarp) streams() [9]*[]byte {
 	return [9]*[]byte{&c.pc, &c.op, &c.mem, &c.nsrc, &c.dst, &c.srcs, &c.mask, &c.nlines, &c.lines}
 }
 
-// EncodeColumns converts row records to a columnar warp.
-func EncodeColumns(recs []Rec) (*ColWarp, error) {
-	var b ColBuilder
-	for i := range recs {
-		if err := b.Append(&recs[i]); err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
-		}
-	}
-	return b.Finish(), nil
-}
-
 // ColCursor decodes a ColWarp one record at a time into an internal
-// reusable buffer — the bounded window of the streaming read path. Next
-// performs no allocations in steady state (the lines buffer grows to the
-// most divergent record seen, then stays).
+// reusable buffer — the bounded window of the streaming read path. The
+// interval algorithm, the cache simulator and the timing oracle all read
+// traces through it, so no consumer materializes a []Rec.
+//
+// The protocol: a fresh cursor is positioned before the first record.
+// Next advances and reports whether a record is available; Rec returns the
+// current record, which remains valid until the next Next call. After Next
+// returns false, Err distinguishes clean exhaustion (nil) from a decode
+// failure in the underlying stream. Next performs no allocations in
+// steady state (the lines buffer grows to the most divergent record seen,
+// then stays); the zero-alloc gate in the CI pins this.
 type ColCursor struct {
 	w   *ColWarp
 	rec Rec
@@ -251,10 +248,14 @@ func (c *ColCursor) Next() bool {
 		return false
 	}
 
-	d, ok := c.uvarint(c.w.pc, &c.pcOff, "pc")
-	if !ok {
-		return false
+	// The two per-record varint streams call binary.Uvarint directly, which
+	// the compiler inlines; a c.uvarint call per PC and per line costs
+	// 10-20% of a full decode.
+	d, sz := binary.Uvarint(c.w.pc[c.pcOff:])
+	if sz <= 0 {
+		return c.fail("truncated or malformed pc varint")
 	}
+	c.pcOff += sz
 	pc := c.prevPC + unzigzag(d)
 	if pc < math.MinInt32 || pc > math.MaxInt32 {
 		return c.fail("pc %d outside int32 range", pc)
@@ -319,10 +320,11 @@ func (c *ColCursor) Next() bool {
 		c.linesBuf = c.linesBuf[:cnt]
 		prev := uint64(0)
 		for i := 0; i < int(cnt); i++ {
-			v, ok := c.uvarint(c.w.lines, &c.lnOff, "line")
-			if !ok {
-				return false
+			v, sz := binary.Uvarint(c.w.lines[c.lnOff:])
+			if sz <= 0 {
+				return c.fail("truncated or malformed line varint")
 			}
+			c.lnOff += sz
 			line := v
 			if i > 0 {
 				line = prev + v
@@ -348,27 +350,3 @@ func (c *ColCursor) Rec() *Rec { return &c.rec }
 
 // Err reports the first decode error, or nil after clean exhaustion.
 func (c *ColCursor) Err() error { return c.err }
-
-// DecodeColumns materializes the columnar warp as row records. Each
-// record's lines are copied into a shared arena, so the result costs two
-// allocations regardless of how many memory records the warp has.
-func (c *ColWarp) DecodeColumns() ([]Rec, error) {
-	// Summary counts are validated by the cursor, not before the first
-	// Next call — clamp them so a hostile header cannot panic makeslice.
-	recs := make([]Rec, 0, max(c.n, 0))
-	arena := make([]uint64, 0, max(c.memReqs, 0))
-	cur := c.Cursor()
-	for cur.Next() {
-		r := *cur.Rec()
-		if len(r.Lines) > 0 {
-			start := len(arena)
-			arena = append(arena, r.Lines...)
-			r.Lines = arena[start:len(arena):len(arena)]
-		}
-		recs = append(recs, r)
-	}
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-	return recs, nil
-}

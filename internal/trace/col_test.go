@@ -43,17 +43,14 @@ func colRecs() []Rec {
 
 func TestColRoundTrip(t *testing.T) {
 	recs := colRecs()
-	cw, err := EncodeColumns(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cw := encodeRecs(t, recs)
 	if cw.Insts() != len(recs) {
 		t.Fatalf("Insts = %d, want %d", cw.Insts(), len(recs))
 	}
 	if cw.GlobalMemInsts() != 4 || cw.GlobalMemReqs() != 3+32 {
 		t.Fatalf("mem summary = %d insts / %d reqs, want 4 / 35", cw.GlobalMemInsts(), cw.GlobalMemReqs())
 	}
-	got, err := cw.DecodeColumns()
+	got, err := decodeRecs(cw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +72,8 @@ func TestColBuilderReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return b.Finish()
+		cw := b.Finish()
+		return &cw
 	}
 	cw1 := finish(first)
 	cw2 := finish(second)
@@ -83,11 +81,7 @@ func TestColBuilderReuse(t *testing.T) {
 		cw   *ColWarp
 		recs []Rec
 	}{{cw1, first}, {cw2, second}} {
-		want, err := EncodeColumns(tc.recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(tc.cw, want) {
+		if want := encodeRecs(t, tc.recs); !reflect.DeepEqual(tc.cw, want) {
 			t.Fatalf("reused builder encoded %+v, fresh builder %+v", tc.cw, want)
 		}
 		if n := tc.cw.SizeBytes(); n == 0 {
@@ -105,15 +99,12 @@ func TestColMaskRLECompact(t *testing.T) {
 		recs[i] = rec(i%3, isa.OpIAdd, 1, 2)
 		recs[i].Mask = 0xFFFFFFFF
 	}
-	cw, err := EncodeColumns(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cw := encodeRecs(t, recs)
 	// One uniform run: one varint run length + one varint value.
 	if len(cw.mask) > 8 {
 		t.Errorf("uniform mask column is %d bytes, want <= 8", len(cw.mask))
 	}
-	got, err := cw.DecodeColumns()
+	got, err := decodeRecs(cw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +151,7 @@ func TestColBuilderRejectsMalformed(t *testing.T) {
 // truncating. Mutations cover truncated streams, malformed varints,
 // inconsistent lengths, and trailing bytes.
 func TestColCursorCorruption(t *testing.T) {
-	fresh := func() *ColWarp {
-		cw, err := EncodeColumns(colRecs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cw
-	}
+	fresh := func() *ColWarp { return encodeRecs(t, colRecs()) }
 	cases := []struct {
 		name string
 		mod  func(*ColWarp)
@@ -194,11 +179,7 @@ func TestColCursorCorruption(t *testing.T) {
 			// means a duplicate line, which must be rejected).
 			r := Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 1, Lines: []uint64{128, 256},
 				Srcs: [4]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone, isa.RegNone}}
-			cw2, err := EncodeColumns([]Rec{r})
-			if err != nil {
-				t.Fatal(err)
-			}
-			*c = *cw2
+			*c = *encodeRecs(t, []Rec{r})
 			c.lines[len(c.lines)-1] = 0
 		}},
 		{"negative record count", func(c *ColWarp) { c.n = -1 }},
@@ -218,18 +199,12 @@ func TestColCursorCorruption(t *testing.T) {
 			if cur.Err() == nil {
 				t.Errorf("%s: corrupt warp decoded cleanly (%d records)", tc.name, n)
 			}
-			if _, err := cw.DecodeColumns(); err == nil {
-				t.Errorf("%s: DecodeColumns accepted corrupt warp", tc.name)
-			}
 		})
 	}
 }
 
 func TestColCursorErrSticksAndStops(t *testing.T) {
-	cw, err := EncodeColumns(colRecs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cw := encodeRecs(t, colRecs())
 	cw.pc = cw.pc[:2] // fails partway through
 	cur := cw.Cursor()
 	for cur.Next() {
@@ -246,74 +221,9 @@ func TestColCursorErrSticksAndStops(t *testing.T) {
 	}
 }
 
-// TestWarpDualStorage pins the WarpTrace accessors across both layouts:
-// cursors yield identical sequences, Rows/Columns convert faithfully, and
-// the summary counters agree.
-func TestWarpDualStorage(t *testing.T) {
-	recs := colRecs()
-	row := &WarpTrace{BlockID: 1, WarpID: 2, Recs: recs}
-	cw, err := EncodeColumns(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := NewColWarpTrace(1, 2, cw)
-
-	if col.Col() == nil || row.Col() != nil {
-		t.Fatal("Col() accessor wrong")
-	}
-	if row.Insts() != col.Insts() || row.GlobalMemInsts() != col.GlobalMemInsts() ||
-		row.GlobalMemReqs() != col.GlobalMemReqs() {
-		t.Fatalf("summary counters disagree: row %d/%d/%d col %d/%d/%d",
-			row.Insts(), row.GlobalMemInsts(), row.GlobalMemReqs(),
-			col.Insts(), col.GlobalMemInsts(), col.GlobalMemReqs())
-	}
-
-	rc, cc := row.Cursor(), col.Cursor()
-	for i := 0; ; i++ {
-		rn, cn := rc.Next(), cc.Next()
-		if rn != cn {
-			t.Fatalf("cursor lengths diverge at %d", i)
-		}
-		if !rn {
-			break
-		}
-		rr, cr := *rc.Rec(), *cc.Rec()
-		if !reflect.DeepEqual(rr.Lines, cr.Lines) {
-			t.Fatalf("record %d lines differ: row %v col %v", i, rr.Lines, cr.Lines)
-		}
-		rr.Lines, cr.Lines = nil, nil
-		if !reflect.DeepEqual(rr, cr) {
-			t.Fatalf("record %d differs: row %+v col %+v", i, rc.Rec(), cc.Rec())
-		}
-	}
-	if rc.Err() != nil || cc.Err() != nil {
-		t.Fatalf("cursor errors: %v / %v", rc.Err(), cc.Err())
-	}
-
-	gotRows, err := col.Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRows, recs) {
-		t.Fatal("col.Rows() differs from source records")
-	}
-	gotCols, err := row.Columns()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotCols, cw) {
-		t.Fatal("row.Columns() differs from EncodeColumns")
-	}
-}
-
 func TestValidateCatchesColSummaryMismatch(t *testing.T) {
-	k := makeKernel(1, 1, 3)
-	cw, err := EncodeColumns(k.Warps[0].Recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw.memInsts++ // lie about the summary
-	k.Warps[0] = NewColWarpTrace(0, 0, cw)
+	k := makeKernel(t, 1, 1, 3)
+	k.Warps[0].memInsts++ // lie about the summary
 	if err := k.Validate(); err == nil {
 		t.Error("column summary mismatch not caught")
 	}
@@ -321,15 +231,9 @@ func TestValidateCatchesColSummaryMismatch(t *testing.T) {
 
 // TestCursorNextZeroAlloc is the allocation gate for the streaming read
 // path: after warm-up (the lines buffer grows to the most divergent record
-// seen), a full pass over either cursor layout performs zero allocations.
+// seen), a full pass over the cursor performs zero allocations.
 func TestCursorNextZeroAlloc(t *testing.T) {
-	recs := colRecs()
-	cw, err := EncodeColumns(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	colCur := cw.Cursor()
+	colCur := encodeRecs(t, colRecs()).Cursor()
 	for colCur.Next() {
 	}
 	if err := colCur.Err(); err != nil {
@@ -341,15 +245,5 @@ func TestCursorNextZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("ColCursor.Next allocates %.1f times per pass, want 0", avg)
-	}
-
-	sliceCur := NewSliceCursor(recs)
-	if avg := testing.AllocsPerRun(100, func() {
-		sliceCur.Reset()
-		for sliceCur.Next() {
-			_ = sliceCur.Rec()
-		}
-	}); avg != 0 {
-		t.Errorf("SliceCursor.Next allocates %.1f times per pass, want 0", avg)
 	}
 }

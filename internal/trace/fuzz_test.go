@@ -30,13 +30,17 @@ func fuzzKernel() *Kernel {
 		LineBytes:     128,
 	}
 	for w := 0; w < 2; w++ {
-		wt := &WarpTrace{BlockID: 0, WarpID: w}
-		wt.Recs = append(wt.Recs,
-			Rec{PC: 0, Op: isa.OpIAdd, Dst: r0, Srcs: [4]isa.Reg{r0, r1, isa.RegNone, isa.RegNone}, NumSrcs: 2, Mask: 0xFFFFFFFF},
-			Rec{PC: 1, Op: isa.OpLdG, Dst: r1, Srcs: [4]isa.Reg{r0, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1,
+		var b ColBuilder
+		for _, r := range []Rec{
+			{PC: 0, Op: isa.OpIAdd, Dst: r0, Srcs: [4]isa.Reg{r0, r1, isa.RegNone, isa.RegNone}, NumSrcs: 2, Mask: 0xFFFFFFFF},
+			{PC: 1, Op: isa.OpLdG, Dst: r1, Srcs: [4]isa.Reg{r0, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1,
 				Mask: 0xFFFFFFFF, Lines: []uint64{0, 128}},
-		)
-		k.Warps = append(k.Warps, wt)
+		} {
+			if err := b.Append(&r); err != nil {
+				panic(err)
+			}
+		}
+		k.Warps = append(k.Warps, &WarpTrace{BlockID: 0, WarpID: w, ColWarp: b.Finish()})
 	}
 	return k
 }
@@ -77,10 +81,11 @@ func FuzzReadKernel(f *testing.F) {
 	})
 }
 
-// fuzzSeeds builds the named seed inputs for FuzzReadKernel: well-formed
-// streams in both formats, truncations, container garbage, corrupted
-// columnar payloads, and trailing data after a valid stream. The same set
-// backs the checked-in corpus under testdata/fuzz/FuzzReadKernel.
+// fuzzSeeds builds the named seed inputs for FuzzReadKernel: a well-formed
+// v2 stream, the v1 fixture (which must be rejected), truncations,
+// container garbage, corrupted columnar payloads, and trailing data after
+// a valid stream. The same set backs the checked-in corpus under
+// testdata/fuzz/FuzzReadKernel.
 type fuzzSeed struct {
 	name string
 	data []byte
@@ -96,7 +101,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	}
 	k := fuzzKernel()
 	col := encode(k.Encode)
-	legacy := encode(k.EncodeLegacy)
+	legacy := legacyTrace(t)
 
 	// regzip re-compresses a mutated payload so the corruption survives the
 	// gzip container and reaches the columnar decoder.
@@ -136,7 +141,7 @@ func fuzzSeeds(t testing.TB) []fuzzSeed {
 	}()
 	emptyColumn := func() []byte {
 		ek := fuzzKernel()
-		ek.Warps[0].Recs = nil
+		ek.Warps[0].ColWarp = ColWarp{}
 		return encode(ek.Encode)
 	}()
 
@@ -175,26 +180,20 @@ func TestFuzzSeedsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestFuzzSeedRoundTrip pins the seed kernel's round trip — in both
-// formats — outside the fuzzer so the property is exercised on every
-// plain `go test` run.
+// TestFuzzSeedRoundTrip pins the seed kernel's round trip outside the
+// fuzzer so the property is exercised on every plain `go test` run.
 func TestFuzzSeedRoundTrip(t *testing.T) {
 	k := fuzzKernel()
-	for _, enc := range []struct {
-		name string
-		fn   func(io.Writer) error
-	}{{"columnar", k.Encode}, {"legacy", k.EncodeLegacy}} {
-		var buf bytes.Buffer
-		if err := enc.fn(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadKernel(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(k, got) {
-			t.Fatalf("%s round trip changed the kernel", enc.name)
-		}
+	var buf bytes.Buffer
+	if err := k.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadKernel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(k, got) {
+		t.Fatal("round trip changed the kernel")
 	}
 }
 
@@ -203,7 +202,7 @@ func TestFuzzSeedRoundTrip(t *testing.T) {
 // and a kernel with a warp whose columns are all empty. The first fails
 // Validate and must be rejected on decode; the second is legal — an
 // early-exit warp records nothing — and must survive
-// encode -> decode -> Validate byte-faithfully in both formats.
+// encode -> decode -> Validate unchanged.
 func TestEmptyWarpEdgeCases(t *testing.T) {
 	t.Run("zero-warp", func(t *testing.T) {
 		zk := fuzzKernel()
@@ -219,42 +218,30 @@ func TestEmptyWarpEdgeCases(t *testing.T) {
 			t.Fatal("decoder accepted a kernel whose header promises warps it does not carry")
 		}
 	})
-	for _, enc := range []struct {
-		name string
-		fn   func(*Kernel) func(io.Writer) error
-	}{
-		{"columnar", func(k *Kernel) func(io.Writer) error { return k.Encode }},
-		{"legacy", func(k *Kernel) func(io.Writer) error { return k.EncodeLegacy }},
-	} {
-		t.Run("empty-column-"+enc.name, func(t *testing.T) {
-			ek := fuzzKernel()
-			ek.Warps[0].Recs = []Rec{}
-			if err := ek.Validate(); err != nil {
-				t.Fatalf("empty warp should be legal: %v", err)
-			}
-			var buf bytes.Buffer
-			if err := enc.fn(ek)(&buf); err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			got, err := ReadKernel(&buf)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("decoded kernel fails Validate: %v", err)
-			}
-			if n := len(got.Warps[0].Recs); n != 0 {
-				t.Fatalf("empty warp decoded with %d records", n)
-			}
-			// gob flattens an empty slice to nil; the record content is
-			// what the round trip must preserve, so normalize before the
-			// deep comparison.
-			got.Warps[0].Recs = ek.Warps[0].Recs
-			if !reflect.DeepEqual(ek, got) {
-				t.Fatal("empty-column kernel changed across the round trip")
-			}
-		})
-	}
+	t.Run("empty-column-columnar", func(t *testing.T) {
+		ek := fuzzKernel()
+		ek.Warps[0].ColWarp = ColWarp{}
+		if err := ek.Validate(); err != nil {
+			t.Fatalf("empty warp should be legal: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := ek.Encode(&buf); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		got, err := ReadKernel(&buf)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("decoded kernel fails Validate: %v", err)
+		}
+		if n := got.Warps[0].Insts(); n != 0 {
+			t.Fatalf("empty warp decoded with %d records", n)
+		}
+		if !reflect.DeepEqual(ek, got) {
+			t.Fatal("empty-column kernel changed across the round trip")
+		}
+	})
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus and the
@@ -281,11 +268,9 @@ func TestWriteFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The v1 fixture is checked in as it is: nothing writes that format.
 	k := fuzzKernel()
 	if err := k.Save(filepath.Join("testdata", "fuzz-seed.columnar.trace")); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SaveLegacy(filepath.Join("testdata", "fuzz-seed.legacy.trace")); err != nil {
 		t.Fatal(err)
 	}
 }

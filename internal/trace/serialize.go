@@ -18,34 +18,16 @@ import (
 // Serialization lets traces be collected once and reused across tool
 // invocations (the paper's per-input profiling cost is paid offline).
 //
-// Two on-disk formats exist, both gzip-compressed:
-//
-//	v1 (legacy)  gob: traceHeader message followed by the Kernel. Written
-//	             by older builds; still readable, and still writable via
-//	             EncodeLegacy for interoperability.
-//	v2 (columnar) magic "GMC2", a length-prefixed gob blob with the launch
-//	             metadata (colHeader), then one section per warp holding
-//	             the delta/varint column streams of a ColWarp. This is
-//	             what Encode writes: it is ~an order of magnitude smaller
-//	             before compression and decodes by streaming, so readers
-//	             never materialize a []Rec per warp unless asked to.
-//
-// ReadKernel distinguishes the formats by sniffing the first bytes of the
-// decompressed stream: a gob stream cannot begin with "GMC2" (gob's first
-// message is a type definition whose encoding never matches the magic).
-// Both readers reject trailing bytes after a well-formed stream.
+// The on-disk format (v2) is gzip-compressed: the magic "GMC2", a
+// length-prefixed gob blob with the launch metadata (colHeader), then one
+// section per warp holding the delta/varint column streams of a ColWarp.
+// The reader rejects any stream that does not start with the magic
+// (including the retired v1 gob format) and trailing bytes after a
+// well-formed stream.
 
-const (
-	traceFormatVersion = 1 // legacy gob format
-	colFormatVersion   = 2 // columnar format (inside colMagic files)
-)
+const colFormatVersion = 2
 
 var colMagic = [4]byte{'G', 'M', 'C', '2'}
-
-type traceHeader struct {
-	Version int
-	Name    string
-}
 
 // colHeader is the metadata blob of a v2 columnar trace file.
 type colHeader struct {
@@ -57,9 +39,8 @@ type colHeader struct {
 	Prog          *isa.Program
 }
 
-// Encode serializes the kernel trace to w in the columnar v2 format.
-// Row-backed warps are transposed to columns on the fly; columnar-backed
-// warps are written without re-encoding.
+// Encode serializes the kernel trace to w in the v2 format, writing each
+// warp's column streams as they are.
 func (k *Kernel) Encode(w io.Writer) error {
 	zw := gzip.NewWriter(w)
 	bw := bufio.NewWriter(zw)
@@ -98,11 +79,7 @@ func encodeColumnar(bw *bufio.Writer, k *Kernel) error {
 		return fmt.Errorf("trace: writing header: %w", err)
 	}
 	for i, w := range k.Warps {
-		cw, err := w.Columns()
-		if err != nil {
-			return fmt.Errorf("trace: kernel %q warp %d: %w", k.Name, i, err)
-		}
-		if err := writeColWarp(bw, cw); err != nil {
+		if err := writeColWarp(bw, &w.ColWarp); err != nil {
 			return fmt.Errorf("trace: kernel %q warp %d: %w", k.Name, i, err)
 		}
 	}
@@ -137,63 +114,18 @@ func writeUvarint(bw *bufio.Writer, v uint64) error {
 	return nil
 }
 
-// EncodeLegacy serializes the kernel trace to w in the v1 gob format, for
-// interoperability with older readers. Columnar warps are decoded to rows
-// first (gob serializes the Recs field).
-func (k *Kernel) EncodeLegacy(w io.Writer) error {
-	rk, err := k.rowKernel()
-	if err != nil {
-		return err
-	}
-	zw := gzip.NewWriter(w)
-	enc := gob.NewEncoder(zw)
-	if err := enc.Encode(traceHeader{Version: traceFormatVersion, Name: rk.Name}); err != nil {
-		return fmt.Errorf("trace: encoding header: %w", err)
-	}
-	if err := enc.Encode(rk); err != nil {
-		return fmt.Errorf("trace: encoding kernel: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("trace: closing stream: %w", err)
-	}
-	return nil
-}
-
-// ReadKernel deserializes a kernel trace written by Encode or EncodeLegacy
-// and validates it before returning. All warps are materialized as rows;
-// use ReadKernelStream to keep columnar storage for streaming consumers.
+// ReadKernel deserializes a kernel trace written by Encode and validates
+// it before returning. The warps keep their column streams; consumers
+// iterate them through WarpTrace.Cursor with O(window) memory. A stream
+// that is not v2 and trailing bytes after the kernel are errors.
 func ReadKernel(r io.Reader) (*Kernel, error) {
-	k, err := ReadKernelStream(r)
-	if err != nil {
-		return nil, err
-	}
-	rk, err := k.rowKernel()
-	if err != nil {
-		return nil, fmt.Errorf("trace: loaded kernel invalid: %w", err)
-	}
-	return rk, nil
-}
-
-// ReadKernelStream deserializes a kernel trace, keeping v2 warps in their
-// columnar form: consumers iterate them through WarpTrace.Cursor with
-// O(window) memory. Legacy v1 traces are returned row-backed, as stored.
-// The kernel is validated, and trailing bytes after the logical end of
-// either format are rejected.
-func ReadKernelStream(r io.Reader) (*Kernel, error) {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: opening stream: %w", err)
 	}
 	defer zr.Close()
 	br := bufio.NewReader(zr)
-
-	magic, err := br.Peek(len(colMagic))
-	var k *Kernel
-	if err == nil && bytes.Equal(magic, colMagic[:]) {
-		k, err = readColumnar(br)
-	} else {
-		k, err = readLegacy(br)
-	}
+	k, err := readColumnar(br)
 	if err != nil {
 		return nil, err
 	}
@@ -206,32 +138,17 @@ func ReadKernelStream(r io.Reader) (*Kernel, error) {
 	return k, nil
 }
 
-func readLegacy(br *bufio.Reader) (*Kernel, error) {
-	// br implements io.ByteReader, so gob reads from it directly without
-	// wrapping it in another buffer — the trailing-data check in the
-	// caller sees exactly the bytes gob did not consume.
-	dec := gob.NewDecoder(br)
-	var h traceHeader
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("trace: decoding header: %w", err)
-	}
-	if h.Version != traceFormatVersion {
-		return nil, fmt.Errorf("trace: unsupported format version %d (want %d)", h.Version, traceFormatVersion)
-	}
-	k := new(Kernel)
-	if err := dec.Decode(k); err != nil {
-		return nil, fmt.Errorf("trace: decoding kernel %q: %w", h.Name, err)
-	}
-	return k, nil
-}
-
 // maxHeaderBytes bounds the gob metadata blob of a v2 file; programs are
 // a few KB, so anything near this is a corrupt or hostile length prefix.
 const maxHeaderBytes = 64 << 20
 
 func readColumnar(br *bufio.Reader) (*Kernel, error) {
-	if _, err := br.Discard(len(colMagic)); err != nil {
+	var magic [len(colMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if magic != colMagic {
+		return nil, fmt.Errorf("trace: not a v2 trace (magic %q, want %q)", magic[:], colMagic[:])
 	}
 	hlen, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -263,29 +180,30 @@ func readColumnar(br *bufio.Reader) (*Kernel, error) {
 	}
 	nWarps := h.Blocks * h.WarpsPerBlock
 	for i := 0; i < nWarps; i++ {
-		cw, err := readColWarp(br)
-		if err != nil {
+		w := &WarpTrace{BlockID: i / h.WarpsPerBlock, WarpID: i % h.WarpsPerBlock}
+		if err := readColWarp(br, &w.ColWarp); err != nil {
 			return nil, fmt.Errorf("trace: kernel %q warp %d: %w", h.Name, i, err)
 		}
-		k.Warps = append(k.Warps, NewColWarpTrace(i/h.WarpsPerBlock, i%h.WarpsPerBlock, cw))
+		k.Warps = append(k.Warps, w)
 	}
 	return k, nil
 }
 
-func readColWarp(br *bufio.Reader) (*ColWarp, error) {
+// readColWarp reads one warp section into c.
+func readColWarp(br *bufio.Reader, c *ColWarp) error {
 	var counts [8]uint64
 	for i := range counts {
 		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, fmt.Errorf("reading warp counts: %w", err)
+			return fmt.Errorf("reading warp counts: %w", err)
 		}
 		if v > math.MaxInt64/2 {
-			return nil, fmt.Errorf("warp count %d out of range", v)
+			return fmt.Errorf("warp count %d out of range", v)
 		}
 		counts[i] = v
 	}
 	n := int(counts[0])
-	c := &ColWarp{n: n, memInsts: int(counts[1]), memReqs: int(counts[2])}
+	*c = ColWarp{n: n, memInsts: int(counts[1]), memReqs: int(counts[2])}
 	lens := []struct {
 		name string
 		n    int
@@ -304,7 +222,7 @@ func readColWarp(br *bufio.Reader) (*ColWarp, error) {
 	for _, l := range lens {
 		buf, err := readBytes(br, l.n)
 		if err != nil {
-			return nil, fmt.Errorf("reading %s column: %w", l.name, err)
+			return fmt.Errorf("reading %s column: %w", l.name, err)
 		}
 		*l.dst = buf
 	}
@@ -313,22 +231,26 @@ func readColWarp(br *bufio.Reader) (*ColWarp, error) {
 	// one nlines byte, every line at least one lines byte. (Validate later
 	// confirms the summaries exactly by streaming the records.)
 	if c.n > len(c.pc) {
-		return nil, fmt.Errorf("record count %d exceeds pc column bytes %d", c.n, len(c.pc))
+		return fmt.Errorf("record count %d exceeds pc column bytes %d", c.n, len(c.pc))
 	}
 	if c.memInsts > len(c.nlines) {
-		return nil, fmt.Errorf("memory instruction count %d exceeds nlines column bytes %d", c.memInsts, len(c.nlines))
+		return fmt.Errorf("memory instruction count %d exceeds nlines column bytes %d", c.memInsts, len(c.nlines))
 	}
 	if c.memReqs > len(c.lines) {
-		return nil, fmt.Errorf("memory request count %d exceeds lines column bytes %d", c.memReqs, len(c.lines))
+		return fmt.Errorf("memory request count %d exceeds lines column bytes %d", c.memReqs, len(c.lines))
 	}
-	return c, nil
+	return nil
 }
 
 // readBytes reads exactly n bytes, growing the buffer incrementally so a
 // hostile length prefix cannot force a huge up-front allocation: the read
-// fails at the stream's true end before memory does.
+// fails at the stream's true end before memory does. An empty stream is
+// nil, as ColBuilder leaves a stream it never wrote.
 func readBytes(br *bufio.Reader, n int) ([]byte, error) {
 	const chunk = 1 << 20
+	if n == 0 {
+		return nil, nil
+	}
 	if n <= chunk {
 		buf := make([]byte, n)
 		if _, err := io.ReadFull(br, buf); err != nil {
@@ -351,20 +273,11 @@ func readBytes(br *bufio.Reader, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// Save writes the trace to a file in the columnar v2 format. The write is
-// atomic: the trace is staged to a temporary file in the same directory
-// and renamed into place only after every flush and close succeeded, so a
+// Save writes the trace to a file in the v2 format. The write is atomic:
+// the trace is staged to a temporary file in the same directory and
+// renamed into place only after every flush and close succeeded, so a
 // failed save never leaves a truncated trace at path.
-func (k *Kernel) Save(path string) error {
-	return save(path, k.Encode)
-}
-
-// SaveLegacy writes the trace to a file in the v1 gob format.
-func (k *Kernel) SaveLegacy(path string) error {
-	return save(path, k.EncodeLegacy)
-}
-
-func save(path string, encode func(io.Writer) error) (err error) {
+func (k *Kernel) Save(path string) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -378,7 +291,7 @@ func save(path string, encode func(io.Writer) error) (err error) {
 		}
 	}()
 	bw := bufio.NewWriter(f)
-	if err = encode(bw); err != nil {
+	if err = k.Encode(bw); err != nil {
 		return err
 	}
 	if err = bw.Flush(); err != nil {
@@ -393,23 +306,12 @@ func save(path string, encode func(io.Writer) error) (err error) {
 	return nil
 }
 
-// Load reads a trace from a file written by Save or SaveLegacy, with all
-// warps materialized as rows.
+// Load reads a trace from a file written by Save (see ReadKernel).
 func Load(path string) (*Kernel, error) {
-	return loadWith(path, ReadKernel)
-}
-
-// LoadStream reads a trace from a file, keeping columnar warps columnar
-// (see ReadKernelStream).
-func LoadStream(path string) (*Kernel, error) {
-	return loadWith(path, ReadKernelStream)
-}
-
-func loadWith(path string, read func(io.Reader) (*Kernel, error)) (*Kernel, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	defer f.Close()
-	return read(bufio.NewReader(f))
+	return ReadKernel(bufio.NewReader(f))
 }

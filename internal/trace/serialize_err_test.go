@@ -6,84 +6,76 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpumech/internal/isa"
 )
 
-// legacyKernel returns a kernel and its v1 gob encoding.
-func legacyKernel(t *testing.T) (*Kernel, []byte) {
+// legacyPath is the one v1 (gob) trace kept in testdata: a must-reject
+// input now that v2 is the only format.
+var legacyPath = filepath.Join("testdata", "fuzz-seed.legacy.trace")
+
+// legacyTrace returns the bytes of the v1 fixture.
+func legacyTrace(t testing.TB) []byte {
 	t.Helper()
-	k := makeKernel(2, 2, 6)
-	k.Warps[1].Recs[2] = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 0xFF, Mem: isa.MemF32,
-		Lines: []uint64{0x100, 0x200}, Srcs: [4]isa.Reg{2, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1}
-	var buf bytes.Buffer
-	if err := k.EncodeLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return k, buf.Bytes()
-}
-
-func TestLegacyFormatStillReadable(t *testing.T) {
-	k, data := legacyKernel(t)
-	got, err := ReadKernel(bytes.NewReader(data))
+	data, err := os.ReadFile(legacyPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(k, got) {
-		t.Fatal("legacy round trip changed the kernel")
+	return data
+}
+
+// TestLegacyFormatRejected pins that a v1 gob trace, from a stream or a
+// file, is an error that names the format the reader expects.
+func TestLegacyFormatRejected(t *testing.T) {
+	if _, err := ReadKernel(bytes.NewReader(legacyTrace(t))); err == nil || !strings.Contains(err.Error(), "not a v2 trace") {
+		t.Errorf("ReadKernel of a v1 trace: err = %v, want a not-a-v2-trace error", err)
 	}
-	// The streaming reader returns legacy traces row-backed, as stored.
-	got2, err := ReadKernelStream(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Warps[0].Col() != nil {
-		t.Error("legacy trace came back columnar")
+	if _, err := Load(legacyPath); err == nil || !strings.Contains(err.Error(), "not a v2 trace") {
+		t.Errorf("Load of a v1 trace: err = %v, want a not-a-v2-trace error", err)
 	}
 }
 
+// TestStreamKeepsColumnarStorage pins that ReadKernel keeps each warp's
+// column streams exactly as they were written, without re-encoding them.
 func TestStreamKeepsColumnarStorage(t *testing.T) {
-	k := makeKernel(2, 2, 6)
+	k := makeKernel(t, 2, 2, 6)
 	var buf bytes.Buffer
 	if err := k.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKernelStream(&buf)
+	got, err := ReadKernel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range got.Warps {
-		if w.Col() == nil {
-			t.Fatalf("warp %d of a v2 trace is not columnar", i)
+		if !reflect.DeepEqual(w.ColWarp, k.Warps[i].ColWarp) {
+			t.Fatalf("warp %d's column streams changed across a round trip", i)
 		}
-	}
-	if got.TotalInsts() != k.TotalInsts() {
-		t.Error("streaming read lost records")
 	}
 }
 
-// TestTrailingGarbageRejected pins the contract that bytes after the
-// logical end of the stream are an error in BOTH formats — including a
-// second valid trace concatenated onto the first (gzip multistream).
+// TestTrailingGarbageRejected pins that bytes after the logical end of a
+// v2 stream are an error, including a second valid trace concatenated
+// onto the first (gzip multistream), and that a v1 stream is rejected
+// whatever follows it.
 func TestTrailingGarbageRejected(t *testing.T) {
-	k := makeKernel(1, 2, 4)
-	var v2, v1 bytes.Buffer
+	k := makeKernel(t, 1, 2, 4)
+	var v2 bytes.Buffer
 	if err := k.Encode(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.EncodeLegacy(&v1); err != nil {
-		t.Fatal(err)
-	}
+	v1 := legacyTrace(t)
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"columnar + raw bytes", append(append([]byte{}, v2.Bytes()...), "junk"...)},
-		{"legacy + raw bytes", append(append([]byte{}, v1.Bytes()...), "junk"...)},
+		{"legacy + raw bytes", append(append([]byte{}, v1...), "junk"...)},
 		{"columnar + columnar", append(append([]byte{}, v2.Bytes()...), v2.Bytes()...)},
-		{"legacy + legacy", append(append([]byte{}, v1.Bytes()...), v1.Bytes()...)},
-		{"legacy + columnar", append(append([]byte{}, v1.Bytes()...), v2.Bytes()...)},
+		{"legacy + legacy", append(append([]byte{}, v1...), v1...)},
+		{"legacy + columnar", append(append([]byte{}, v1...), v2.Bytes()...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ReadKernel(bytes.NewReader(tc.data)); err == nil {
@@ -91,12 +83,9 @@ func TestTrailingGarbageRejected(t *testing.T) {
 			}
 		})
 	}
-	// Control: the unmodified streams still decode.
+	// Control: the unmodified v2 stream still decodes.
 	if _, err := ReadKernel(bytes.NewReader(v2.Bytes())); err != nil {
 		t.Errorf("clean columnar stream rejected: %v", err)
-	}
-	if _, err := ReadKernel(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Errorf("clean legacy stream rejected: %v", err)
 	}
 }
 
@@ -124,9 +113,9 @@ func (w *failAfter) Write(p []byte) (int, error) {
 
 // TestEncodeFailingWriter pins that a write error at any point in the
 // stream — header, columns, or the final gzip flush — surfaces as an
-// error from Encode/EncodeLegacy instead of a silently truncated trace.
+// error from Encode instead of a silently truncated trace.
 func TestEncodeFailingWriter(t *testing.T) {
-	k := makeKernel(4, 4, 200)
+	k := makeKernel(t, 4, 4, 200)
 	var full bytes.Buffer
 	if err := k.Encode(&full); err != nil {
 		t.Fatal(err)
@@ -136,70 +125,40 @@ func TestEncodeFailingWriter(t *testing.T) {
 			t.Errorf("Encode with %d-byte writer: err = %v, want errWriterFull", limit, err)
 		}
 	}
-	var fullLegacy bytes.Buffer
-	if err := k.EncodeLegacy(&fullLegacy); err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{0, 10, fullLegacy.Len() - 1} {
-		if err := k.EncodeLegacy(&failAfter{limit: limit}); !errors.Is(err, errWriterFull) {
-			t.Errorf("EncodeLegacy with %d-byte writer: err = %v, want errWriterFull", limit, err)
-		}
-	}
 }
 
-// TestSaveAtomicOnError pins that a failed Save leaves neither the target
-// file nor a stray temporary behind.
+// TestSaveAtomicOnError pins that a failed Save leaves neither a trace
+// nor a stray temporary behind: the target is a non-empty directory, so
+// the final rename fails after the trace was written in full.
 func TestSaveAtomicOnError(t *testing.T) {
-	k := makeKernel(1, 1, 2)
-	k.Warps[0].Recs[0].NumSrcs = 5 // unencodable: Columns() fails mid-save
+	k := makeKernel(t, 1, 1, 2)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.trace")
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := k.Save(path); err == nil {
-		t.Fatal("Save of unencodable kernel succeeded")
+		t.Fatal("Save over a non-empty directory succeeded")
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 0 {
+	if len(ents) != 1 || ents[0].Name() != "bad.trace" || !ents[0].IsDir() {
 		t.Errorf("failed Save left files behind: %v", ents)
 	}
 }
 
 func TestSaveMissingDirectory(t *testing.T) {
-	k := makeKernel(1, 1, 2)
+	k := makeKernel(t, 1, 1, 2)
 	if err := k.Save(filepath.Join(t.TempDir(), "no", "such", "dir", "x.trace")); err == nil {
 		t.Error("Save into a missing directory succeeded")
 	}
 }
 
-func TestColumnarSmallerThanLegacy(t *testing.T) {
-	k := makeKernel(8, 4, 400)
-	for _, w := range k.Warps {
-		for i := range w.Recs {
-			if i%7 == 0 {
-				w.Recs[i] = Rec{PC: int32(i % 3), Op: isa.OpLdG, Dst: 1, Mask: 0xFFFFFFFF, Mem: isa.MemF32,
-					Lines: []uint64{uint64(i) * 128, uint64(i)*128 + 128},
-					Srcs:  [4]isa.Reg{2, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1}
-			}
-		}
-	}
-	var v2, v1 bytes.Buffer
-	if err := k.Encode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.EncodeLegacy(&v1); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("columnar %d bytes, legacy %d bytes (%.1fx)", v2.Len(), v1.Len(), float64(v1.Len())/float64(v2.Len()))
-	if v2.Len() >= v1.Len() {
-		t.Errorf("columnar (%d bytes) not smaller than legacy (%d bytes)", v2.Len(), v1.Len())
-	}
-}
-
-// TestConvertRoundTripTestdata exercises the convert path the CLI exposes
-// over every checked-in trace file: sniff + load, transcode to the other
-// format, load back, and require record-for-record equality.
+// TestConvertRoundTripTestdata checks every checked-in trace file: each
+// v2 file loads and round-trips through Save and Load to an equal kernel,
+// and the v1 file is rejected.
 func TestConvertRoundTripTestdata(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.trace"))
 	if err != nil {
@@ -210,26 +169,26 @@ func TestConvertRoundTripTestdata(t *testing.T) {
 	}
 	for _, path := range paths {
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			orig, err := Load(path) // rows, whatever the stored format
+			orig, err := Load(path)
+			if path == legacyPath {
+				if err == nil || !strings.Contains(err.Error(), "not a v2 trace") {
+					t.Fatalf("v1 trace: err = %v, want a not-a-v2-trace error", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			dir := t.TempDir()
-			v2, v1 := filepath.Join(dir, "v2.trace"), filepath.Join(dir, "v1.trace")
+			v2 := filepath.Join(t.TempDir(), "v2.trace")
 			if err := orig.Save(v2); err != nil {
 				t.Fatal(err)
 			}
-			if err := orig.SaveLegacy(v1); err != nil {
+			got, err := Load(v2)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for name, p := range map[string]string{"columnar": v2, "legacy": v1} {
-				got, err := Load(p)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(orig, got) {
-					t.Errorf("%s transcode changed the kernel", name)
-				}
+			if !reflect.DeepEqual(orig, got) {
+				t.Error("round trip changed the kernel")
 			}
 		})
 	}
@@ -248,19 +207,6 @@ func BenchmarkEncodeColumnar(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 }
 
-func BenchmarkEncodeLegacy(b *testing.B) {
-	k := benchKernel()
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := k.EncodeLegacy(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
 func BenchmarkDecodeColumnarStream(b *testing.B) {
 	k := benchKernel()
 	var buf bytes.Buffer
@@ -271,23 +217,7 @@ func BenchmarkDecodeColumnarStream(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := ReadKernelStream(bytes.NewReader(data)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeLegacy(b *testing.B) {
-	k := benchKernel()
-	var buf bytes.Buffer
-	if err := k.EncodeLegacy(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadKernelStream(bytes.NewReader(data)); err != nil {
+		if _, err := ReadKernel(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,19 +232,21 @@ func benchKernel() *Kernel {
 	k := &Kernel{Name: "bench", Prog: prog, Blocks: 16, WarpsPerBlock: 4, LineBytes: 128}
 	for b := 0; b < 16; b++ {
 		for w := 0; w < 4; w++ {
-			wt := &WarpTrace{BlockID: b, WarpID: w}
+			var cb ColBuilder
 			for i := 0; i < 2000; i++ {
+				r := rec(i%7, isa.OpIAdd, isa.Reg(1+i%8), 2, 3)
+				r.Mask = 0xFFFFFFFF
 				if i%6 == 0 {
 					base := uint64(b*1000+i) * 128
-					wt.Recs = append(wt.Recs, Rec{PC: int32(i % 7), Op: isa.OpLdG, Dst: 3, Mask: 0xFFFFFFFF,
+					r = Rec{PC: int32(i % 7), Op: isa.OpLdG, Dst: 3, Mask: 0xFFFFFFFF,
 						Mem: isa.MemF32, Lines: []uint64{base, base + 128},
-						Srcs: [4]isa.Reg{2, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1})
-					continue
+						Srcs: [4]isa.Reg{2, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1}
 				}
-				wt.Recs = append(wt.Recs, rec(i%7, isa.OpIAdd, isa.Reg(1+i%8), 2, 3))
-				wt.Recs[len(wt.Recs)-1].Mask = 0xFFFFFFFF
+				if err := cb.Append(&r); err != nil {
+					panic(err)
+				}
 			}
-			k.Warps = append(k.Warps, wt)
+			k.Warps = append(k.Warps, &WarpTrace{BlockID: b, WarpID: w, ColWarp: cb.Finish()})
 		}
 	}
 	return k

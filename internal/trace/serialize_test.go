@@ -10,9 +10,12 @@ import (
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	k := makeKernel(3, 2, 5)
-	k.Warps[0].Recs[1] = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 0xFF,
-		Lines: []uint64{0x1000, 0x2000}, Srcs: [4]isa.Reg{2, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1}
+	k := makeKernelWith(t, 3, 2, 5, func(w, i int, r *Rec) {
+		if w == 0 && i == 1 {
+			*r = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 0xFF,
+				Lines: []uint64{0x1000, 0x2000}, Srcs: [4]isa.Reg{2, isa.RegNone, isa.RegNone, isa.RegNone}, NumSrcs: 1}
+		}
+	})
 
 	var buf bytes.Buffer
 	if err := k.Encode(&buf); err != nil {
@@ -28,7 +31,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.TotalInsts() != k.TotalInsts() {
 		t.Errorf("instruction count mismatch")
 	}
-	r := got.Warps[0].Recs[1]
+	recs, err := decodeRecs(&got.Warps[0].ColWarp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := recs[1]
 	if r.Op != isa.OpLdG || len(r.Lines) != 2 || r.Lines[1] != 0x2000 || r.Srcs[0] != 2 {
 		t.Errorf("record lost data: %+v", r)
 	}
@@ -38,7 +45,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestSaveLoad(t *testing.T) {
-	k := makeKernel(2, 2, 4)
+	k := makeKernel(t, 2, 2, 4)
 	path := filepath.Join(t.TempDir(), "trace.gob.gz")
 	if err := k.Save(path); err != nil {
 		t.Fatal(err)
@@ -65,8 +72,11 @@ func TestReadKernelRejectsGarbage(t *testing.T) {
 }
 
 func TestReadKernelValidates(t *testing.T) {
-	k := makeKernel(1, 1, 2)
-	k.Warps[0].Recs[0].PC = 99 // invalid
+	k := makeKernelWith(t, 1, 1, 2, func(w, i int, r *Rec) {
+		if i == 0 {
+			r.PC = 99 // invalid
+		}
+	})
 	var buf bytes.Buffer
 	if err := k.Encode(&buf); err != nil {
 		t.Fatal(err)

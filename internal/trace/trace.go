@@ -45,52 +45,13 @@ func (r *Rec) NumReqs() int { return len(r.Lines) }
 // SrcRegs returns the source registers as a slice.
 func (r *Rec) SrcRegs() []isa.Reg { return r.Srcs[:r.NumSrcs] }
 
-// WarpTrace is the full dynamic instruction stream of one warp.
-//
-// A warp is backed by exactly one of two storage layouts: row (the
-// exported Recs slice) or columnar (the unexported col pointer, which gob
-// ignores so the legacy on-disk encoding is unaffected). Consumers that
-// stream records should use Cursor, which works over either layout;
-// direct Recs indexing only sees row-backed warps.
+// WarpTrace is the full dynamic instruction stream of one warp, held as
+// the column streams of its embedded ColWarp, which also supplies Insts,
+// the memory counters and Cursor. The zero value is an empty warp.
 type WarpTrace struct {
 	BlockID int // block index within the grid
 	WarpID  int // warp index within the block
-	Recs    []Rec
-	col     *ColWarp
-}
-
-// Insts returns the number of executed warp-instructions.
-func (w *WarpTrace) Insts() int {
-	if w.col != nil {
-		return w.col.Insts()
-	}
-	return len(w.Recs)
-}
-
-// GlobalMemInsts returns the number of global memory instructions.
-func (w *WarpTrace) GlobalMemInsts() int {
-	if w.col != nil {
-		return w.col.GlobalMemInsts()
-	}
-	n := 0
-	for i := range w.Recs {
-		if w.Recs[i].IsGlobalMem() {
-			n++
-		}
-	}
-	return n
-}
-
-// GlobalMemReqs returns the total number of coalesced memory requests.
-func (w *WarpTrace) GlobalMemReqs() int {
-	if w.col != nil {
-		return w.col.GlobalMemReqs()
-	}
-	n := 0
-	for i := range w.Recs {
-		n += w.Recs[i].NumReqs()
-	}
-	return n
+	ColWarp
 }
 
 // Kernel is the complete trace of one kernel launch.
@@ -138,18 +99,13 @@ func (k *Kernel) Validate() error {
 // ValidateWarps applies Validate's per-warp checks to ws as warps first,
 // first+1, ... of k. The emulator validates each block range's warps with
 // it as the range finishes, instead of re-reading the whole trace. One
-// cursor decodes every columnar warp in turn.
+// cursor decodes every warp in turn.
 func (k *Kernel) ValidateWarps(first int, ws []*WarpTrace) error {
-	var col ColCursor
+	var cur ColCursor
 	for j, w := range ws {
-		var cur RecCursor = &col
-		if w.col != nil {
-			col.w = w.col
-			col.Reset()
-		} else {
-			cur = NewSliceCursor(w.Recs)
-		}
-		if err := k.validateWarp(first+j, w, cur); err != nil {
+		cur.w = &w.ColWarp
+		cur.Reset()
+		if err := k.validateWarp(first+j, w, &cur); err != nil {
 			return err
 		}
 	}
@@ -158,7 +114,7 @@ func (k *Kernel) ValidateWarps(first int, ws []*WarpTrace) error {
 
 // validateWarp checks w, read through cur, as warp i of k (block
 // i/WarpsPerBlock).
-func (k *Kernel) validateWarp(i int, w *WarpTrace, cur RecCursor) error {
+func (k *Kernel) validateWarp(i int, w *WarpTrace, cur *ColCursor) error {
 	if w.BlockID != i/k.WarpsPerBlock || w.WarpID != i%k.WarpsPerBlock {
 		return fmt.Errorf("trace: kernel %q warp %d has ids (%d,%d), want (%d,%d)",
 			k.Name, i, w.BlockID, w.WarpID, i/k.WarpsPerBlock, i%k.WarpsPerBlock)
@@ -197,11 +153,9 @@ func (k *Kernel) validateWarp(i int, w *WarpTrace, cur RecCursor) error {
 	if err := cur.Err(); err != nil {
 		return fmt.Errorf("trace: kernel %q warp %d: %w", k.Name, i, err)
 	}
-	if w.col != nil {
-		if insts != w.col.Insts() || memInsts != w.col.GlobalMemInsts() || memReqs != w.col.GlobalMemReqs() {
-			return fmt.Errorf("trace: kernel %q warp %d: column summary mismatch (%d/%d/%d insts/memInsts/memReqs, summaries say %d/%d/%d)",
-				k.Name, i, insts, memInsts, memReqs, w.col.Insts(), w.col.GlobalMemInsts(), w.col.GlobalMemReqs())
-		}
+	if insts != w.Insts() || memInsts != w.GlobalMemInsts() || memReqs != w.GlobalMemReqs() {
+		return fmt.Errorf("trace: kernel %q warp %d: column summary mismatch (%d/%d/%d insts/memInsts/memReqs, summaries say %d/%d/%d)",
+			k.Name, i, insts, memInsts, memReqs, w.Insts(), w.GlobalMemInsts(), w.GlobalMemReqs())
 	}
 	return nil
 }

@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"gpumech/internal/isa"
 )
+
+// noSrcs is the source list of a record that reads no register.
+var noSrcs = [4]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone, isa.RegNone}
 
 func rec(pc int, op isa.Op, dst isa.Reg, srcs ...isa.Reg) Rec {
 	r := Rec{PC: int32(pc), Op: op, Dst: dst, Mask: 1}
@@ -93,32 +97,68 @@ func TestAssignRoundRobin(t *testing.T) {
 	}
 }
 
-func makeKernel(blocks, warpsPerBlock, recsPerWarp int) *Kernel {
+// encodeRecs encodes recs as one warp's column streams.
+func encodeRecs(t testing.TB, recs []Rec) *ColWarp {
+	t.Helper()
+	var b ColBuilder
+	for i := range recs {
+		if err := b.Append(&recs[i]); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	cw := b.Finish()
+	return &cw
+}
+
+// decodeRecs decodes every record of c, each with its own copy of its
+// lines.
+func decodeRecs(c *ColWarp) ([]Rec, error) {
+	var recs []Rec
+	cur := c.Cursor()
+	for cur.Next() {
+		r := *cur.Rec()
+		r.Lines = slices.Clone(r.Lines)
+		recs = append(recs, r)
+	}
+	return recs, cur.Err()
+}
+
+func makeKernel(t testing.TB, blocks, warpsPerBlock, recsPerWarp int) *Kernel {
+	return makeKernelWith(t, blocks, warpsPerBlock, recsPerWarp, nil)
+}
+
+// makeKernelWith builds a kernel of blocks x warpsPerBlock warps with
+// recsPerWarp integer adds each, letting mod (if non-nil) rewrite record
+// i of warp w before it is encoded.
+func makeKernelWith(t testing.TB, blocks, warpsPerBlock, recsPerWarp int, mod func(w, i int, r *Rec)) *Kernel {
 	prog := &isa.Program{Name: "t", NumRegs: 8, NumPreds: 2,
 		Instrs: make([]isa.Instr, 4)}
 	prog.Instrs[3] = isa.Instr{Op: isa.OpExit}
 	k := &Kernel{Name: "t", Prog: prog, Blocks: blocks, WarpsPerBlock: warpsPerBlock, LineBytes: 128}
 	for b := 0; b < blocks; b++ {
 		for w := 0; w < warpsPerBlock; w++ {
-			wt := &WarpTrace{BlockID: b, WarpID: w}
-			for i := 0; i < recsPerWarp; i++ {
-				wt.Recs = append(wt.Recs, rec(i%3, isa.OpIAdd, 1, 2))
+			recs := make([]Rec, recsPerWarp)
+			for i := range recs {
+				recs[i] = rec(i%3, isa.OpIAdd, 1, 2)
+				if mod != nil {
+					mod(len(k.Warps), i, &recs[i])
+				}
 			}
-			k.Warps = append(k.Warps, wt)
+			k.Warps = append(k.Warps, &WarpTrace{BlockID: b, WarpID: w, ColWarp: *encodeRecs(t, recs)})
 		}
 	}
 	return k
 }
 
 func TestKernelValidateOK(t *testing.T) {
-	k := makeKernel(3, 2, 5)
+	k := makeKernel(t, 3, 2, 5)
 	if err := k.Validate(); err != nil {
 		t.Fatalf("valid kernel rejected: %v", err)
 	}
 }
 
 func TestKernelValidateCatchesBadCounts(t *testing.T) {
-	k := makeKernel(3, 2, 5)
+	k := makeKernel(t, 3, 2, 5)
 	k.Warps = k.Warps[:len(k.Warps)-1]
 	if err := k.Validate(); err == nil {
 		t.Error("missing warp not caught")
@@ -126,23 +166,29 @@ func TestKernelValidateCatchesBadCounts(t *testing.T) {
 }
 
 func TestKernelValidateCatchesBadPC(t *testing.T) {
-	k := makeKernel(1, 1, 2)
-	k.Warps[0].Recs[0].PC = 99
+	k := makeKernelWith(t, 1, 1, 2, func(w, i int, r *Rec) {
+		if i == 0 {
+			r.PC = 99
+		}
+	})
 	if err := k.Validate(); err == nil {
 		t.Error("out-of-range PC not caught")
 	}
 }
 
 func TestKernelValidateCatchesMissingLines(t *testing.T) {
-	k := makeKernel(1, 1, 2)
-	k.Warps[0].Recs[0] = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 0xF}
+	k := makeKernelWith(t, 1, 1, 2, func(w, i int, r *Rec) {
+		if i == 0 {
+			*r = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 0xF, Srcs: noSrcs}
+		}
+	})
 	if err := k.Validate(); err == nil {
 		t.Error("global memory record without lines not caught")
 	}
 }
 
 func TestWarpsOfBlock(t *testing.T) {
-	k := makeKernel(3, 2, 1)
+	k := makeKernel(t, 3, 2, 1)
 	ws := k.WarpsOfBlock(1)
 	if len(ws) != 2 || ws[0].BlockID != 1 || ws[1].WarpID != 1 {
 		t.Fatalf("WarpsOfBlock(1) wrong: %+v", ws)
@@ -150,7 +196,7 @@ func TestWarpsOfBlock(t *testing.T) {
 }
 
 func TestWarpsForCore(t *testing.T) {
-	k := makeKernel(4, 2, 1)
+	k := makeKernel(t, 4, 2, 1)
 	a := Assign(4, 2)
 	ws := a.WarpsForCore(k, 0) // blocks 0, 2
 	if len(ws) != 4 {
@@ -162,7 +208,7 @@ func TestWarpsForCore(t *testing.T) {
 }
 
 func TestTotalInstsAndCounters(t *testing.T) {
-	k := makeKernel(2, 2, 7)
+	k := makeKernel(t, 2, 2, 7)
 	if got := k.TotalInsts(); got != 2*2*7 {
 		t.Errorf("TotalInsts = %d, want 28", got)
 	}
@@ -173,7 +219,11 @@ func TestTotalInstsAndCounters(t *testing.T) {
 	if w.GlobalMemInsts() != 0 || w.GlobalMemReqs() != 0 {
 		t.Error("compute-only warp reports memory activity")
 	}
-	w.Recs[0] = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 1, Lines: []uint64{0, 128}}
+	w = makeKernelWith(t, 1, 1, 7, func(w, i int, r *Rec) {
+		if i == 0 {
+			*r = Rec{PC: 0, Op: isa.OpLdG, Dst: 1, Mask: 1, Lines: []uint64{0, 128}, Srcs: noSrcs}
+		}
+	}).Warps[0]
 	if w.GlobalMemInsts() != 1 || w.GlobalMemReqs() != 2 {
 		t.Errorf("mem counters = %d/%d, want 1/2", w.GlobalMemInsts(), w.GlobalMemReqs())
 	}

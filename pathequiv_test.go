@@ -3,6 +3,7 @@ package gpumech
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"gpumech/internal/baseline"
@@ -38,10 +39,10 @@ func pathConfigs() map[string]Config {
 // baseline prediction per (config, model).
 type pathAnswers map[string]string
 
-// sequentialRows traces info in row layout on the sequential emulator
-// (one worker): the reference trace the parallel emulator and every
-// columnar path are compared against.
-func sequentialRows(t *testing.T, info *kernels.Info, blocks int) *trace.Kernel {
+// sequentialTrace traces info on the sequential emulator (one worker):
+// the reference trace the parallel emulator and every entry path are
+// compared against.
+func sequentialTrace(t *testing.T, info *kernels.Info, blocks int) *trace.Kernel {
 	t.Helper()
 	l, err := info.EmuLaunch(kernels.Scale{Blocks: blocks, Seed: 1}, DefaultConfig().L1LineBytes)
 	if err != nil {
@@ -56,16 +57,16 @@ func sequentialRows(t *testing.T, info *kernels.Info, blocks int) *trace.Kernel 
 }
 
 // referenceAnswers computes the answers the one-shot pipeline gives on a
-// row-layout trace from the sequential emulator, with no memo, store,
-// columnar trace or parallel emulation involved: the contract every
-// Session path must meet.
+// trace from the sequential emulator, with no memo, store, trace file or
+// parallel emulation involved: the contract every Session path must
+// meet.
 func referenceAnswers(t *testing.T, kernel string) pathAnswers {
 	t.Helper()
 	info, err := kernels.Get(kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := sequentialRows(t, info, pathBlocks)
+	tr := sequentialTrace(t, info, pathBlocks)
 	out := pathAnswers{}
 	for cname, cfg := range pathConfigs() {
 		prof, err := cache.Simulate(tr, cfg.ProfileConfig())
@@ -145,11 +146,12 @@ func floatBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(
 
 // TestEntryPathsAgree is the path-equivalence matrix: every Session entry
 // path — storeless, store cold (build and put), store warm (a fresh
-// session reading the same directory), an Observing view, and sessions
-// that emulate and profile on one worker and on four — gives the
-// one-shot pipeline's answers bit for bit, for every kernel of the
-// sample, both policies, all three selection methods and both baseline
-// models.
+// session reading the same directory), an Observing view, sessions that
+// emulate and profile on one worker and on four, a session over the
+// storeless session's trace saved as a v2 file, and a session that loads
+// its trace from a trace cache instead of emulating — gives the one-shot
+// pipeline's answers bit for bit, for every kernel of the sample, both
+// policies, all three selection methods and both baseline models.
 func TestEntryPathsAgree(t *testing.T) {
 	for _, kernel := range pathKernels {
 		t.Run(kernel, func(t *testing.T) {
@@ -163,7 +165,8 @@ func TestEntryPathsAgree(t *testing.T) {
 				return s
 			}
 			plain := newSession()
-			warmReg := obs.NewRegistry()
+			warmReg, cacheReg := obs.NewRegistry(), obs.NewRegistry()
+			cacheDir := t.TempDir()
 			paths := []struct {
 				name string
 				sess func() *Session
@@ -178,6 +181,21 @@ func TestEntryPathsAgree(t *testing.T) {
 				}},
 				{"1 worker", func() *Session { return newSession(WithWorkers(1)) }},
 				{"4 workers", func() *Session { return newSession(WithWorkers(4)) }},
+				{"columnar file", func() *Session {
+					path := filepath.Join(t.TempDir(), "col.trace")
+					if err := plain.lazy.tr.Save(path); err != nil {
+						t.Fatal(err)
+					}
+					s, err := NewSessionFromTraceFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}},
+				{"trace cache hit", func() *Session {
+					newSession(WithTraceCache(cacheDir)) // the miss that writes the entry
+					return newSession(WithTraceCache(cacheDir), WithObserver(NewObserver(cacheReg, nil)))
+				}},
 			}
 			for _, p := range paths {
 				got := sessionAnswers(t, p.sess())
@@ -192,6 +210,9 @@ func TestEntryPathsAgree(t *testing.T) {
 			}
 			if n := warmReg.Counter("store.hits").Value(); n != 2 {
 				t.Errorf("store-warm session: store.hits = %d, want 2 (one per prep key)", n)
+			}
+			if n := cacheReg.Counter("trace.kernels").Value(); n != 0 {
+				t.Errorf("trace-cache-hit session emulated %d kernels, want 0", n)
 			}
 		})
 	}
