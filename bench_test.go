@@ -243,17 +243,31 @@ func BenchmarkModelFull(b *testing.B) {
 	}
 }
 
-// BenchmarkTimingSimulator measures the detailed oracle on the same
-// kernel, for direct comparison with the model benches above.
+// BenchmarkTimingSimulator measures the detailed oracle's throughput in
+// simulated warp-instructions per second (Minst/s) on a compute-bound,
+// a barrier-phased and a memory-divergent kernel, under both scheduling
+// policies.
 func BenchmarkTimingSimulator(b *testing.B) {
-	tr := benchKernelTrace(b, "rodinia_cfd_compute_flux", 128)
 	cfg := config.Baseline()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := timing.Simulate(tr, cfg, timing.RR); err != nil {
-			b.Fatal(err)
-		}
+	for _, name := range []string{"parboil_stencil", "rodinia_hotspot", "micro_pointer_chase"} {
+		b.Run(name, func(b *testing.B) {
+			tr := benchKernelTrace(b, name, 128)
+			for _, pol := range []timing.Policy{timing.RR, timing.GTO} {
+				b.Run(pol.String(), func(b *testing.B) {
+					var insts int64
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						r, err := timing.Simulate(tr, cfg, pol)
+						if err != nil {
+							b.Fatal(err)
+						}
+						insts += r.Insts
+					}
+					b.ReportMetric(float64(insts)/1e6/b.Elapsed().Seconds(), "Minst/s")
+				})
+			}
+		})
 	}
 }
 

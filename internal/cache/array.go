@@ -13,14 +13,20 @@ import (
 
 // Array is a set-associative, LRU, tag-only cache array. It models hits
 // and misses but stores no data.
+//
+// Each way holds its line number (the address shifted by the line size)
+// and an LRU stamp. Access and Touch advance the clock before stamping,
+// so a filled way's stamp is never 0 and a stamp of 0 marks an empty
+// way. No line number is reserved as an empty marker: with 1-byte lines
+// every 64-bit value is a line, up to address 2^64-1. A lookup compares
+// line numbers first and reads the stamp only on a match.
 type Array struct {
 	sets     int
 	assoc    int
 	lineBits uint
 	setMask  uint64
 	tags     []uint64 // sets*assoc entries
-	valid    []bool
-	stamp    []uint64 // LRU timestamps
+	stamp    []uint64 // LRU timestamps, 0 for an empty way
 	clock    uint64
 }
 
@@ -40,7 +46,6 @@ func NewArray(sizeBytes, lineBytes, assoc int) (*Array, error) {
 		lineBits: uint(bits.TrailingZeros(uint(lineBytes))),
 		setMask:  uint64(sets - 1),
 		tags:     make([]uint64, sets*assoc),
-		valid:    make([]bool, sets*assoc),
 		stamp:    make([]uint64, sets*assoc),
 	}
 	if sets&(sets-1) != 0 {
@@ -48,16 +53,6 @@ func NewArray(sizeBytes, lineBytes, assoc int) (*Array, error) {
 		a.setMask = 0
 	}
 	return a, nil
-}
-
-// MustNewArray is NewArray that panics on configuration errors. Intended
-// for callers that already validated the configuration.
-func MustNewArray(sizeBytes, lineBytes, assoc int) *Array {
-	a, err := NewArray(sizeBytes, lineBytes, assoc)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 func (a *Array) setOf(addr uint64) int {
@@ -70,18 +65,15 @@ func (a *Array) setOf(addr uint64) int {
 
 // Access looks up the line containing addr, allocating it on a miss
 // (LRU victim) and refreshing LRU state on a hit. It returns true on hit.
-func (a *Array) Access(addr uint64) bool {
-	hit, _ := a.access(addr, true)
-	return hit
-}
+func (a *Array) Access(addr uint64) bool { return a.access(addr, true) }
 
 // Probe looks up the line without changing any state.
 func (a *Array) Probe(addr uint64) bool {
-	set := a.setOf(addr)
+	base := a.setOf(addr) * a.assoc
 	tag := addr >> a.lineBits
-	base := set * a.assoc
-	for w := 0; w < a.assoc; w++ {
-		if a.valid[base+w] && a.tags[base+w] == tag {
+	stamps := a.stamp[base : base+a.assoc]
+	for w, t := range a.tags[base : base+a.assoc] {
+		if t == tag && stamps[w] != 0 {
 			return true
 		}
 	}
@@ -90,48 +82,35 @@ func (a *Array) Probe(addr uint64) bool {
 
 // Touch refreshes LRU state for the line if present without allocating.
 // It models write-through no-allocate stores. It returns true on hit.
-func (a *Array) Touch(addr uint64) bool {
-	hit, _ := a.access(addr, false)
-	return hit
-}
+func (a *Array) Touch(addr uint64) bool { return a.access(addr, false) }
 
-func (a *Array) access(addr uint64, allocate bool) (hit bool, victim uint64) {
-	set := a.setOf(addr)
+func (a *Array) access(addr uint64, allocate bool) bool {
+	base := a.setOf(addr) * a.assoc
 	tag := addr >> a.lineBits
-	base := set * a.assoc
+	tags, stamps := a.tags[base:base+a.assoc], a.stamp[base:base+a.assoc]
 	a.clock++
+	// The victim is the last empty way, else the least recently used one;
+	// stamps of filled ways are distinct.
 	lruWay, lruStamp := 0, ^uint64(0)
-	for w := 0; w < a.assoc; w++ {
-		i := base + w
-		if a.valid[i] && a.tags[i] == tag {
-			a.stamp[i] = a.clock
-			return true, 0
+	for w, t := range tags {
+		st := stamps[w]
+		if t == tag && st != 0 {
+			stamps[w] = a.clock
+			return true
 		}
-		if !a.valid[i] {
-			lruWay, lruStamp = w, 0
-		} else if a.stamp[i] < lruStamp {
-			lruWay, lruStamp = w, a.stamp[i]
+		if st <= lruStamp {
+			lruWay, lruStamp = w, st
 		}
 	}
 	if allocate {
-		i := base + lruWay
-		victim = a.tags[i] << a.lineBits
-		a.tags[i] = tag
-		a.valid[i] = true
-		a.stamp[i] = a.clock
+		tags[lruWay] = tag
+		stamps[lruWay] = a.clock
 	}
-	return false, victim
+	return false
 }
-
-// Sets returns the number of sets.
-func (a *Array) Sets() int { return a.sets }
-
-// Assoc returns the associativity.
-func (a *Array) Assoc() int { return a.assoc }
 
 // Reset invalidates every line.
 func (a *Array) Reset() {
-	clear(a.valid)
 	clear(a.stamp)
 	a.clock = 0
 }

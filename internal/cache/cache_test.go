@@ -10,6 +10,129 @@ import (
 	"gpumech/internal/trace"
 )
 
+// MustNewArray is NewArray that panics on configuration errors, for
+// fixed test geometries.
+func MustNewArray(sizeBytes, lineBytes, assoc int) *Array {
+	a, err := NewArray(sizeBytes, lineBytes, assoc)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// refArray is a set-associative LRU tag array in its most direct form,
+// with an explicit valid bit per way: the reference Array is checked
+// against.
+type refArray struct {
+	sets, assoc int
+	lineBytes   uint64
+	valid       []bool
+	line        []uint64
+	stamp       []uint64
+	clock       uint64
+}
+
+func newRefArray(sizeBytes, lineBytes, assoc int) *refArray {
+	n := sizeBytes / lineBytes
+	return &refArray{sets: n / assoc, assoc: assoc, lineBytes: uint64(lineBytes),
+		valid: make([]bool, n), line: make([]uint64, n), stamp: make([]uint64, n)}
+}
+
+// lookup probes (tick false) or accesses the line holding addr,
+// allocating an LRU way on a miss when fill is set.
+func (r *refArray) lookup(addr uint64, tick, fill bool) bool {
+	ln := addr / r.lineBytes
+	base := int(ln%uint64(r.sets)) * r.assoc
+	if tick {
+		r.clock++
+	}
+	victim := -1
+	for i := base; i < base+r.assoc; i++ {
+		if r.valid[i] && r.line[i] == ln {
+			if tick {
+				r.stamp[i] = r.clock
+			}
+			return true
+		}
+		switch {
+		case !r.valid[i]:
+			victim = i
+		case victim < 0 || r.valid[victim] && r.stamp[i] < r.stamp[victim]:
+			victim = i
+		}
+	}
+	if fill {
+		r.valid[victim], r.line[victim], r.stamp[victim] = true, ln, r.clock
+	}
+	return false
+}
+
+// TestArrayMatchesReference drives Array and refArray with the same
+// random accesses, touches, probes and resets, over geometries that
+// include one-byte lines — which config.Validate accepts, and where
+// every 64-bit value is a line, including the line at address 2^64-1 —
+// a single set, and a set count that is not a power of two.
+func TestArrayMatchesReference(t *testing.T) {
+	const top = ^uint64(0)
+	geoms := []struct{ size, line, assoc int }{
+		{8, 1, 8},  // one set of eight 1-byte lines
+		{64, 1, 4}, // 16 sets
+		{48, 1, 4}, // 12 sets: modulo indexing
+		{1024, 128, 2},
+		{768, 128, 2}, // 3 sets
+	}
+	for _, g := range geoms {
+		a := MustNewArray(g.size, g.line, g.assoc)
+		ref := newRefArray(g.size, g.line, g.assoc)
+		// A fresh array holds nothing, not even the lines whose numbers
+		// an encoding might reserve as empty markers.
+		for _, addr := range []uint64{0, top, top - 1} {
+			if a.Probe(addr) {
+				t.Fatalf("%v: fresh array hits %#x", g, addr)
+			}
+		}
+		pool := []uint64{0, 1, 2, top, top - 1, top - 2, top - 128, 128, 256, 1 << 40}
+		rng := rand.New(rand.NewSource(int64(g.size*131 + g.line)))
+		for i := 0; i < 300; i++ {
+			pool = append(pool, rng.Uint64())
+		}
+		for step := 0; step < 20000; step++ {
+			addr := pool[rng.Intn(len(pool))]
+			if rng.Intn(4) == 0 {
+				addr = pool[rng.Intn(6)] // dwell on the extremes
+			}
+			var got, want bool
+			switch op := rng.Intn(100); {
+			case op == 0:
+				a.Reset()
+				*ref = *newRefArray(g.size, g.line, g.assoc)
+				continue
+			case op < 45:
+				got, want = a.Access(addr), ref.lookup(addr, true, true)
+			case op < 60:
+				got, want = a.Touch(addr), ref.lookup(addr, true, false)
+			default:
+				got, want = a.Probe(addr), ref.lookup(addr, false, false)
+			}
+			if got != want {
+				t.Fatalf("%v step %d op on %#x: hit = %v, reference %v", g, step, addr, got, want)
+			}
+		}
+	}
+	// The top line itself: cold miss, then hit, then evicted by assoc
+	// newer lines of the same (only) set.
+	a := MustNewArray(4, 1, 4)
+	if a.Access(top) || !a.Access(top) || !a.Probe(top) {
+		t.Fatal("line at 2^64-1 not cached")
+	}
+	for i := uint64(0); i < 4; i++ {
+		a.Access(i)
+	}
+	if a.Probe(top) {
+		t.Fatal("line at 2^64-1 not evicted")
+	}
+}
+
 func TestArrayBasicHitMiss(t *testing.T) {
 	a := MustNewArray(1024, 128, 2) // 4 sets x 2 ways
 	if a.Access(0) {

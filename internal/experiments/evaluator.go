@@ -564,22 +564,6 @@ func (e *Evaluator) executePlans(plans []kernelPlan) error {
 	})
 }
 
-// EvalProfiles exposes per-warp interval profiles for studies that need
-// them (Figure 7 diagnostics, examples). The result is not cached.
-func (e *Evaluator) EvalProfiles(kernel string, cfg config.Config) ([]*interval.Profile, *interval.PCTable, error) {
-	kc, err := e.ensureKernel(kernel)
-	if err != nil {
-		return nil, nil, err
-	}
-	prof, _, err := kc.profile(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	tbl := model.BuildPCTable(kc.tr.Prog, cfg, prof)
-	profiles, err := model.BuildWarpProfilesWorkers(kc.tr, cfg, tbl, e.workers)
-	return profiles, tbl, err
-}
-
 // Timings returns the per-kernel pipeline timings recorded at the baseline
 // configuration, in kernel-set order.
 func (e *Evaluator) Timings() []*Timing {

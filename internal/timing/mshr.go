@@ -7,9 +7,109 @@ import "slices"
 // fill completes.
 type mshrFile struct {
 	entries  int
-	inflight map[uint64]int64 // line -> completion cycle
+	inflight lineTable // line -> completion cycle
 	releases releaseHeap
 	scratch  []int64 // kthRelease's sort buffer, reused across calls
+}
+
+// lineTable maps in-flight lines to their completion cycles: an
+// open-addressed hash table with linear probing. A slot whose done is 0
+// is empty; a completion is always later than the cycle that allocates
+// it, so never 0. Deletion shifts the rest of the probe run back over the
+// freed slot instead of leaving a tombstone, so lookups stop at the
+// first empty slot. The table doubles when more than half full, which
+// lets an over-divergent load oversubscribe the MSHR file.
+type lineTable struct {
+	slots []lineSlot // power-of-two length
+	shift uint       // 64 - log2(len(slots)), for Fibonacci hashing
+	n     int        // occupied slots
+}
+
+type lineSlot struct {
+	line uint64
+	done int64
+}
+
+// newLineTable returns an empty table sized for capacity lines (at
+// least 4) at half load.
+func newLineTable(capacity int) lineTable {
+	var t lineTable
+	t.resize(max(capacity, 4))
+	return t
+}
+
+// resize rehashes into the smallest power-of-two table holding capacity
+// at no more than half load.
+func (t *lineTable) resize(capacity int) {
+	size, bits := 1, uint(0)
+	for size < 2*capacity {
+		size <<= 1
+		bits++
+	}
+	old := t.slots
+	t.slots, t.shift, t.n = make([]lineSlot, size), 64-bits, 0
+	for _, s := range old {
+		if s.done != 0 {
+			t.put(s.line, s.done)
+		}
+	}
+}
+
+// home is the slot line hashes to: the top bits of its product with
+// 2^64/phi, which spreads line-aligned addresses over the table.
+func (t *lineTable) home(line uint64) int {
+	return int((line * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// find returns the slot holding line, or the empty slot that ends its
+// probe run and false.
+func (t *lineTable) find(line uint64) (int, bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(line); ; i = (i + 1) & mask {
+		if s := t.slots[i]; s.done == 0 || s.line == line {
+			return i, s.done != 0
+		}
+	}
+}
+
+// get returns the completion cycle of line, if present.
+func (t *lineTable) get(line uint64) (int64, bool) {
+	i, ok := t.find(line)
+	return t.slots[i].done, ok
+}
+
+// put sets line's completion cycle (done > 0), inserting it if absent.
+func (t *lineTable) put(line uint64, done int64) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.resize(t.n + 1)
+	}
+	i, ok := t.find(line)
+	if !ok {
+		t.n++
+	}
+	t.slots[i] = lineSlot{line, done}
+}
+
+// deleteIf removes line if its completion cycle is done, reporting
+// whether it did.
+func (t *lineTable) deleteIf(line uint64, done int64) bool {
+	i, ok := t.find(line)
+	if !ok || t.slots[i].done != done {
+		return false
+	}
+	// Backward-shift deletion: move each later entry of the run into the
+	// hole unless its home lies cyclically in (hole, entry].
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].done != 0; j = (j + 1) & mask {
+		if k := t.home(t.slots[j].line); (j-k)&mask < (j-i)&mask {
+			continue
+		}
+		t.slots[i] = t.slots[j]
+		i = j
+	}
+	t.slots[i] = lineSlot{}
+	t.n--
+	return true
 }
 
 type release struct {
@@ -68,7 +168,7 @@ func (h releaseHeap) down(i0, n int) {
 }
 
 func newMSHRFile(entries int) *mshrFile {
-	return &mshrFile{entries: entries, inflight: make(map[uint64]int64)}
+	return &mshrFile{entries: entries, inflight: newLineTable(entries)}
 }
 
 // purge frees entries whose fills completed at or before now, returning
@@ -77,8 +177,7 @@ func (m *mshrFile) purge(now int64) int {
 	freed := 0
 	for len(m.releases) > 0 && m.releases[0].cycle <= now {
 		r := m.releases.pop()
-		if c, ok := m.inflight[r.line]; ok && c == r.cycle {
-			delete(m.inflight, r.line)
+		if m.inflight.deleteIf(r.line, r.cycle) {
 			freed++
 		}
 	}
@@ -86,17 +185,17 @@ func (m *mshrFile) purge(now int64) int {
 }
 
 // free returns the number of unallocated entries.
-func (m *mshrFile) free() int { return m.entries - len(m.inflight) }
+func (m *mshrFile) free() int { return m.entries - m.inflight.n }
 
 // pending returns the completion cycle of an in-flight miss on line, if any.
 func (m *mshrFile) pending(line uint64) (int64, bool) {
-	c, ok := m.inflight[line]
-	return c, ok
+	return m.inflight.get(line)
 }
 
-// allocate reserves an entry for line completing at the given cycle.
+// allocate reserves an entry for line completing at the given cycle,
+// which is later than the current cycle and so positive.
 func (m *mshrFile) allocate(line uint64, completion int64) {
-	m.inflight[line] = completion
+	m.inflight.put(line, completion)
 	m.releases.push(release{cycle: completion, line: line})
 }
 

@@ -140,9 +140,6 @@ func (r *Result) StallBreakdown() map[string]float64 {
 
 const maxInt64 = int64(math.MaxInt64)
 
-// debugSample enables periodic state dumps (development only).
-var debugSample = false
-
 // Simulate runs the detailed timing simulation of the kernel trace under
 // the configuration and scheduling policy.
 func Simulate(k *trace.Kernel, cfg config.Config, pol Policy) (*Result, error) {
@@ -190,10 +187,8 @@ type sim struct {
 }
 
 type core struct {
-	id      int
-	blocks  []*blockState // resident
 	pending [][]*trace.WarpTrace
-	warps   []*warpState // resident, admission order
+	warps   []*warpState // resident, in admission order: oldest first
 	l1      *cache.Array
 	mshr    *mshrFile
 	rrPos   int
@@ -201,7 +196,6 @@ type core struct {
 	insts   int64
 	cycles  int64
 	done    bool
-	nextAge int64
 	// sleepUntil is the earliest cycle at which any of this core's warps
 	// can possibly issue; while now < sleepUntil the scheduler scan is
 	// skipped entirely. Safe because cross-core events can only delay,
@@ -237,29 +231,23 @@ type scoreboard struct {
 }
 
 type blockState struct {
-	warps   []*warpState
+	warps   []warpState // one slab per block, in admission order
 	alive   int
 	barWait int
 }
 
 type warpState struct {
-	// cur streams the warp's records, decoding them on the fly;
-	// r caches the current — not yet issued — record, nil once the trace
-	// is exhausted. pos counts issued-or-current records for the probe
-	// memo; insts is the warp's total, for diagnostics.
-	cur      *trace.ColCursor
-	r        *trace.Rec
-	pos      int
-	insts    int
-	regReady []int64
-	// regFromMem marks registers whose pending write comes from a load,
-	// for stall attribution.
-	regFromMem  []bool
-	wake        int64 // earliest cycle the warp may issue again
-	atBar       bool
-	done        bool
-	block       *blockState
-	age         int64
+	// The fields the scheduler reads for every resident warp each cycle
+	// come first, so its scan touches one cache line per warp.
+	wake  int64      // earliest cycle the warp may issue again
+	r     *trace.Rec // current, not yet issued, record; nil once exhausted
+	op    isa.Op     // r.Op
+	atBar bool
+	done  bool
+	// ready is the cycle r's sources and destination are written, the
+	// scoreboard half of the issue check. advance computes it once per
+	// record: a warp's registers change only when the warp itself issues.
+	ready       int64
 	mshrBlocked bool        // last issue attempt failed only due to MSHRs
 	blockReason StallReason // why the last issue attempt failed
 
@@ -269,6 +257,23 @@ type warpState struct {
 	probeEpoch int64
 	probeNeed  int
 	probeDRAM  bool
+
+	// cur streams the warp's records, decoding them on the fly. pos counts
+	// issued-or-current records for the probe memo.
+	cur      *trace.ColCursor
+	pos      int
+	regReady []int64
+	// regFromMem marks registers whose pending write comes from a load,
+	// for stall attribution.
+	regFromMem []bool
+	block      *blockState
+}
+
+// eligible reports whether the scheduler must evaluate w this cycle. A
+// warp that is done, at a barrier, asleep or out of records cannot
+// issue, and checking it would change no state, so the scans skip it.
+func (w *warpState) eligible(now int64) bool {
+	return w.wake <= now && !w.done && !w.atBar && w.r != nil
 }
 
 func newSim(k *trace.Kernel, cfg config.Config, pol Policy) (*sim, error) {
@@ -291,7 +296,7 @@ func newSim(k *trace.Kernel, cfg config.Config, pol Policy) (*sim, error) {
 		if err != nil {
 			return nil, err
 		}
-		co := &core{id: c, l1: l1, mshr: newMSHRFile(cfg.MSHREntries)}
+		co := &core{l1: l1, mshr: newMSHRFile(cfg.MSHREntries)}
 		for _, b := range asg.CoreBlocks[c] {
 			var ws []*trace.WarpTrace
 			ws = append(ws, k.WarpsOfBlock(b)...)
@@ -323,9 +328,12 @@ func (s *sim) run() (*Result, error) {
 		// Rotate the polling order each cycle so no core permanently wins
 		// shared-resource arbitration (DRAM queue slots).
 		n := len(s.cores)
-		off := int(s.now % int64(n))
+		c := int(s.now % int64(n))
 		for i := 0; i < n; i++ {
-			co := s.cores[(i+off)%n]
+			co := s.cores[c]
+			if c++; c == n {
+				c = 0
+			}
 			if co.done {
 				continue
 			}
@@ -362,16 +370,6 @@ func (s *sim) run() (*Result, error) {
 		}
 		if s.now > safetyCap {
 			return nil, fmt.Errorf("timing: exceeded cycle safety cap")
-		}
-		if debugSample && s.now%20000 < 1 {
-			co := s.cores[0]
-			fmt.Printf("[dbg] now=%d dramFree-now=%d core0: insts=%d warps=%d pending=%d\n", s.now, s.dramFree-s.now, co.insts, len(co.warps), len(co.pending))
-			for wi, ws := range co.warps {
-				if wi > 5 {
-					break
-				}
-				fmt.Printf("  w%d pos=%d/%d wake=+%d bar=%v done=%v\n", wi, ws.pos, ws.insts, ws.wake-s.now, ws.atBar, ws.done)
-			}
 		}
 	}
 
@@ -479,6 +477,13 @@ func (s *sim) stepCore(co *core) (bool, int64) {
 }
 
 // pick selects the warp to issue per the policy, or nil if none can.
+//
+// canIssue records why a warp cannot issue (its wake, blockReason and
+// mshrBlocked stamps, and its probe memo), and later cycles read those
+// records, so the scans skip only warps that fail the eligibility guard
+// and check the rest in scan order. GTO in particular checks every
+// eligible warp even after finding an issuable one: stopping at the
+// first would leave the rest unstamped and change the oracle.
 func (s *sim) pick(co *core, now int64) *warpState {
 	n := len(co.warps)
 	if n == 0 {
@@ -486,12 +491,14 @@ func (s *sim) pick(co *core, now int64) *warpState {
 	}
 	switch s.pol {
 	case GTO:
-		if g := co.greedy; g != nil && s.canIssue(co, g, now) {
+		if g := co.greedy; g != nil && g.eligible(now) && s.canIssue(co, g, now) {
 			return g
 		}
+		// co.warps runs oldest first, so the first issuable warp is the
+		// oldest one; the rest are still checked for their stamps.
 		var oldest *warpState
 		for _, w := range co.warps {
-			if s.canIssue(co, w, now) && (oldest == nil || w.age < oldest.age) {
+			if w.eligible(now) && s.canIssue(co, w, now) && oldest == nil {
 				oldest = w
 			}
 		}
@@ -500,61 +507,42 @@ func (s *sim) pick(co *core, now int64) *warpState {
 		}
 		return oldest
 	default: // RR
+		j := (co.rrPos + 1) % n
 		for i := 0; i < n; i++ {
-			w := co.warps[(co.rrPos+1+i)%n]
-			if s.canIssue(co, w, now) {
-				co.rrPos = (co.rrPos + 1 + i) % n
+			if w := co.warps[j]; w.eligible(now) && s.canIssue(co, w, now) {
+				co.rrPos = j
 				return w
+			}
+			if j++; j == n {
+				j = 0
 			}
 		}
 		return nil
 	}
 }
 
-// canIssue checks scoreboard and structural hazards for the warp's next
-// instruction.
+// canIssue checks scoreboard and structural hazards for the next
+// instruction of an eligible warp.
 func (s *sim) canIssue(co *core, w *warpState, now int64) bool {
-	if w.done || w.atBar || w.wake > now || w.r == nil {
-		return false
-	}
 	w.mshrBlocked = false
-	r := w.r
-	var latest int64
-	fromMem := false
-	for _, src := range r.SrcRegs() {
-		if src == isa.RegNone {
-			continue
-		}
-		if t := w.regReady[src]; t > now && w.regFromMem[src] {
-			fromMem = true
-		}
-		if t := w.regReady[src]; t > latest {
-			latest = t
-		}
-	}
-	if r.Dst != isa.RegNone && w.regReady[r.Dst] > latest {
-		latest = w.regReady[r.Dst] // WAW
-		if w.regFromMem[r.Dst] {
-			fromMem = true
-		}
-	}
-	if latest > now {
-		w.wake = latest
+	if w.ready > now {
+		w.wake = w.ready
 		w.blockReason = StallCompute
-		if fromMem {
+		if w.waitsOnLoad(now) {
 			w.blockReason = StallMemory
 		}
 		return false
 	}
+	r := w.r
 	// Structural hazard: the special function unit accepts one warp
 	// instruction per service interval (extension; see config.SFUPerCore).
-	if s.sfuService > 0 && r.Op.Class() == isa.ClassSFU && co.sfuFree > now {
+	if s.sfuService > 0 && w.op.Class() == isa.ClassSFU && co.sfuFree > now {
 		w.wake = co.sfuFree
 		w.blockReason = StallCompute
 		return false
 	}
 	// Structural hazards for global memory instructions.
-	switch r.Op {
+	switch w.op {
 	case isa.OpLdG:
 		if len(r.Lines) == 0 {
 			break
@@ -615,6 +603,29 @@ func (s *sim) canIssue(co *core, w *warpState, now int64) bool {
 	return true
 }
 
+// waitsOnLoad reports whether the scoreboard wait of w's current record
+// is on a load: a source still pending at now whose write comes from a
+// load, or a WAW destination, later than every source, written by one.
+func (w *warpState) waitsOnLoad(now int64) bool {
+	r := w.r
+	var latest int64
+	fromMem := false
+	for _, src := range r.SrcRegs() {
+		if src == isa.RegNone {
+			continue
+		}
+		t := w.regReady[src]
+		if t > now && w.regFromMem[src] {
+			fromMem = true
+		}
+		latest = max(latest, t)
+	}
+	if r.Dst != isa.RegNone && w.regReady[r.Dst] > latest && w.regFromMem[r.Dst] {
+		fromMem = true
+	}
+	return fromMem
+}
+
 // dramBacklogged reports whether the shared memory controller queue is
 // full; if so it sets the warp's wake time to the drain point.
 func (s *sim) dramBacklogged(w *warpState, now int64) bool {
@@ -633,20 +644,14 @@ func (s *sim) dramBacklogged(w *warpState, now int64) bool {
 func (s *sim) issue(co *core, w *warpState, now int64) {
 	r := w.r
 
-	switch r.Op {
+	switch w.op {
 	case isa.OpBar:
 		w.atBar = true
 		w.wake = maxInt64
 		b := w.block
 		b.barWait++
 		if b.barWait >= b.alive {
-			b.barWait = 0
-			for _, ws := range b.warps {
-				if !ws.done {
-					ws.atBar = false
-					ws.wake = now + 1
-				}
-			}
+			b.release(now)
 		}
 	case isa.OpExit:
 		s.finishWarp(co, w, now)
@@ -676,11 +681,11 @@ func (s *sim) issue(co *core, w *warpState, now int64) {
 		}
 		w.wake = now + 1
 	default:
-		if s.sfuService > 0 && r.Op.Class() == isa.ClassSFU {
+		if s.sfuService > 0 && w.op.Class() == isa.ClassSFU {
 			co.sfuFree = now + s.sfuService
 		}
 		if r.Dst != isa.RegNone {
-			w.regReady[r.Dst] = now + int64(s.latencyOf(r.Op))
+			w.regReady[r.Dst] = now + int64(s.latencyOf(w.op))
 			w.regFromMem[r.Dst] = false
 		}
 		w.wake = now + 1
@@ -695,16 +700,32 @@ func (s *sim) issue(co *core, w *warpState, now int64) {
 }
 
 // advance moves the warp to its next record, caching it in w.r (nil at
-// end of trace). A decode error is returned and the warp treated as
-// exhausted.
+// end of trace) with its op and scoreboard-ready cycle. A decode error is
+// returned and the warp treated as exhausted.
 func (w *warpState) advance() error {
-	if w.cur.Next() {
-		w.r = w.cur.Rec()
-		w.pos++
+	if !w.cur.Next() {
+		w.r = nil
+		return w.cur.Err()
+	}
+	r := w.cur.Rec()
+	w.r, w.op = r, r.Op
+	w.pos++
+	if w.done {
+		// The cursor still moves past an exit, so a decode error there
+		// surfaces, but the warp's scoreboard may already be recycled.
 		return nil
 	}
-	w.r = nil
-	return w.cur.Err()
+	var ready int64
+	for _, src := range r.SrcRegs() {
+		if src != isa.RegNone {
+			ready = max(ready, w.regReady[src])
+		}
+	}
+	if r.Dst != isa.RegNone {
+		ready = max(ready, w.regReady[r.Dst]) // WAW
+	}
+	w.ready = ready
+	return nil
 }
 
 // loadLine resolves one load request and returns its completion cycle.
@@ -768,25 +789,14 @@ func (s *sim) finishWarp(co *core, w *warpState, now int64) {
 	if b.alive > 0 {
 		// A barrier may now be satisfiable by the remaining warps.
 		if b.barWait >= b.alive && b.barWait > 0 {
-			b.barWait = 0
-			for _, ws := range b.warps {
-				if !ws.done {
-					ws.atBar = false
-					ws.wake = now + 1
-				}
-			}
+			b.release(now)
 		}
 		return
 	}
-	// Remove the drained block, keep its warps' scoreboards for reuse, and
-	// admit the next one. A done warp's scoreboard is never read again.
-	for i, blk := range co.blocks {
-		if blk == b {
-			co.blocks = append(co.blocks[:i], co.blocks[i+1:]...)
-			break
-		}
-	}
-	for _, ws := range b.warps {
+	// Keep the drained block's scoreboards for reuse, and admit the next
+	// block. A done warp's scoreboard is never read again.
+	for i := range b.warps {
+		ws := &b.warps[i]
 		co.freeRegs = append(co.freeRegs, scoreboard{ws.regReady, ws.regFromMem})
 		ws.regReady, ws.regFromMem = nil, nil
 	}
@@ -806,6 +816,18 @@ func (s *sim) finishWarp(co *core, w *warpState, now int64) {
 	}
 }
 
+// release frees the block's live warps from a completed barrier; they
+// may issue from the next cycle.
+func (b *blockState) release(now int64) {
+	b.barWait = 0
+	for i := range b.warps {
+		if ws := &b.warps[i]; !ws.done {
+			ws.atBar = false
+			ws.wake = now + 1
+		}
+	}
+}
+
 // admitBlock moves the next pending block into residency, priming each
 // warp's cursor on its first record.
 func (co *core) admitBlock(numRegs int, wake int64) error {
@@ -814,8 +836,8 @@ func (co *core) admitBlock(numRegs int, wake int64) error {
 	}
 	traces := co.pending[0]
 	co.pending = co.pending[1:]
-	b := &blockState{alive: len(traces)}
-	for _, wt := range traces {
+	b := &blockState{warps: make([]warpState, len(traces)), alive: len(traces)}
+	for i, wt := range traces {
 		var sb scoreboard
 		if n := len(co.freeRegs); n > 0 {
 			sb = co.freeRegs[n-1]
@@ -825,26 +847,19 @@ func (co *core) admitBlock(numRegs int, wake int64) error {
 		} else {
 			sb = scoreboard{make([]int64, numRegs), make([]bool, numRegs)}
 		}
-		ws := &warpState{
+		ws := &b.warps[i]
+		*ws = warpState{
 			cur:        wt.Cursor(),
-			insts:      wt.Insts(),
 			regReady:   sb.ready,
 			regFromMem: sb.fromMem,
 			wake:       wake,
 			block:      b,
-			age:        co.nextAge,
 			probePos:   -1,
 		}
 		if err := ws.advance(); err != nil {
 			return err
 		}
-		co.nextAge++
-		b.warps = append(b.warps, ws)
 		co.warps = append(co.warps, ws)
 	}
-	co.blocks = append(co.blocks, b)
 	return nil
 }
-
-// SetDebugSample toggles periodic state dumps (development only).
-func SetDebugSample(v bool) { debugSample = v }
