@@ -219,14 +219,15 @@ func BenchmarkIntervalAlgorithm(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.BuildWarpProfiles(tr, cfg, tbl); err != nil {
+		if _, err := model.BuildWarpProfilesWorkers(tr, cfg, tbl, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkModelFull measures one complete GPUMech evaluation (interval
-// profiles + clustering + multi-warp + contention models).
+// summaries of every warp + clustering + the representatives' profiles +
+// multi-warp + contention models).
 func BenchmarkModelFull(b *testing.B) {
 	tr := benchKernelTrace(b, "rodinia_cfd_compute_flux", 128)
 	cfg := config.Baseline()

@@ -19,6 +19,7 @@ import (
 
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
+	"gpumech/internal/core/interval"
 	"gpumech/internal/core/model"
 	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
@@ -117,15 +118,14 @@ func main() {
 		tbl := model.BuildPCTable(tr.Prog, cfg, prof)
 		isp := observer.StartSpan("interval-profiling")
 		start := time.Now()
-		profiles, err := model.BuildWarpProfiles(tr, cfg, tbl)
+		p, err := interval.Build(tr.Warps[w], tr.Prog.NumRegs+tr.Prog.NumPreds, cfg.IssueRate(), tbl)
 		if err != nil {
 			isp.End()
-			fail(err)
+			fail(fmt.Errorf("warp %d: %w", w, err))
 		}
 		observer.ObserveSince("stage.interval_profiling.seconds", start)
-		isp.SetInt("warps", int64(len(profiles)))
+		isp.SetInt("warps", 1)
 		isp.End()
-		p := profiles[w]
 		fmt.Printf("\nwarp %d interval profile: %d instructions, %d intervals, %.1f stall cycles, warp_perf %.4f\n",
 			w, p.Insts, len(p.Intervals), p.Stall, p.WarpPerf())
 		for i, iv := range p.Intervals {

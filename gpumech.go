@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"gpumech/internal/baseline"
-	"gpumech/internal/cache"
 	"gpumech/internal/config"
 	"gpumech/internal/core/cluster"
 	"gpumech/internal/core/cpistack"
@@ -34,6 +33,7 @@ import (
 	"gpumech/internal/emu"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
+	"gpumech/internal/prep"
 	"gpumech/internal/store"
 	"gpumech/internal/timing"
 	"gpumech/internal/trace"
@@ -239,11 +239,6 @@ type Session struct {
 
 	traceCacheDir string
 
-	// store, when non-nil, is the content-addressed disk tier of the
-	// prep memo; sessions with one defer tracing until an estimate
-	// actually misses it.
-	store *store.Store
-
 	// lazy holds the kernel trace, built at most once per session (at
 	// creation without a store, on first need with one), plus the
 	// metadata a store hit can answer without the trace existing.
@@ -251,8 +246,10 @@ type Session struct {
 
 	// memo is shared by every view of this session (see Observing): a
 	// key's prep is resolved at most once process-wide no matter which
-	// view asked first.
-	memo *prepMemo
+	// view asked first. Its disk tier is the profile store, when one is
+	// configured; sessions with one defer tracing until an estimate
+	// actually misses it.
+	memo *prep.Memo
 }
 
 // lazyTrace is the session's at-most-once trace cell. The mutex also
@@ -266,49 +263,6 @@ type lazyTrace struct {
 	metaKnown  bool
 	warps      int
 	totalInsts int64
-}
-
-// prepMemo is the session's structural-prep memo. entries holds one
-// slim store.Entry per store key, resolved from memory, then the profile
-// store, then a build. profiles holds one cache profile per
-// cache.ProfileKey, so keys that differ only in compute latencies or
-// issue width share one cache simulation. Each cell resolves once
-// (sync.Once) and is shared by every waiter.
-type prepMemo struct {
-	mu       sync.Mutex
-	entries  map[store.Key]*prepOnce
-	profiles map[cache.ProfileKey]*profileOnce
-}
-
-func newPrepMemo() *prepMemo {
-	return &prepMemo{
-		entries:  make(map[store.Key]*prepOnce),
-		profiles: make(map[cache.ProfileKey]*profileOnce),
-	}
-}
-
-// memoCell returns m's cell for k, creating it under the memo lock.
-func memoCell[K comparable, C any](memo *prepMemo, m map[K]*C, k K) *C {
-	memo.mu.Lock()
-	defer memo.mu.Unlock()
-	c := m[k]
-	if c == nil {
-		c = new(C)
-		m[k] = c
-	}
-	return c
-}
-
-type prepOnce struct {
-	once sync.Once
-	e    *store.Entry
-	err  error
-}
-
-type profileOnce struct {
-	once sync.Once
-	p    *cache.Profile
-	err  error
 }
 
 // Observing returns a view of s that reports to o instead of the
@@ -362,16 +316,18 @@ func NewSession(kernel string, opts ...Option) (*Session, error) {
 		line:          o.line,
 		traceCacheDir: o.traceCache,
 		lazy:          &lazyTrace{},
-		memo:          newPrepMemo(),
 	}
 	if o.profileStore != "" {
-		if s.store, err = store.Open(o.profileStore, o.obs); err != nil {
+		st, err := store.Open(o.profileStore, o.obs)
+		if err != nil {
 			return nil, err
 		}
+		s.memo = s.newMemo(st)
 		// Defer tracing: the whole point of the store is that a warm key
 		// never runs the emulator. Trace errors surface on first use.
 		return s, nil
 	}
+	s.memo = s.newMemo(nil)
 	if _, err := s.kernelTrace(o.obs); err != nil {
 		return nil, err
 	}
@@ -479,7 +435,7 @@ func NewSessionFromTraceFile(path string, opts ...Option) (*Session, error) {
 // sessionFromTrace opens a session over an already-built trace.
 func sessionFromTrace(tr *trace.Kernel, o sessionOpts) *Session {
 	info, _ := kernels.Get(tr.Name) // best-effort metadata; nil is fine
-	return &Session{
+	s := &Session{
 		name:    tr.Name,
 		info:    info,
 		workers: o.workers,
@@ -489,8 +445,25 @@ func sessionFromTrace(tr *trace.Kernel, o sessionOpts) *Session {
 		line:    o.line,
 		lazy: &lazyTrace{tr: tr, metaKnown: true,
 			warps: len(tr.Warps), totalInsts: tr.TotalInsts()},
-		memo: newPrepMemo(),
 	}
+	s.memo = s.newMemo(nil)
+	return s
+}
+
+// newMemo returns the session's prep memo over its trace identity, with
+// st (nil for none) as the disk tier. A store hit tells the session the
+// trace's metadata, so Warps and TotalInsts need no trace.
+func (s *Session) newMemo(st *store.Store) *prep.Memo {
+	return prep.New(prep.Source{
+		Kernel:  s.name,
+		Blocks:  s.blocks,
+		Seed:    s.seed,
+		Line:    s.line,
+		Workers: s.workers,
+		Trace:   s.kernelTrace,
+		Store:   st,
+		OnDisk:  func(e *store.Entry) { s.noteMeta(e.Warps, e.TotalInsts) },
+	})
 }
 
 // Kernel returns the session's kernel name.
@@ -547,140 +520,6 @@ func (s *Session) noteMeta(warps int, totalInsts int64) {
 	s.lazy.mu.Unlock()
 }
 
-// Prep tiers: where an estimate's structural prep came from, recorded
-// as the "prep" attribute of its span.
-const (
-	prepMemory = "memory" // the session's memo, resolved by an earlier call
-	prepDisk   = "disk"   // the profile store
-	prepBuild  = "build"  // traced, simulated and profiled by this call
-)
-
-// prep resolves the structural prep of cfg: the session's memo first,
-// then the profile store, then a build that is persisted for the next
-// process. Each store key resolves at most once per session; concurrent
-// first requests share one resolution. A memo answer serves the cache
-// profile from memory, so it counts toward cache.profile.memo_hits.
-func (s *Session) prep(cfg Config, sp *obs.Span, o *obs.Observer) (*store.Entry, error) {
-	// Validate eagerly: a memo hit must not mask an invalid configuration
-	// whose fields happen to share a key with a previously valid one (and
-	// canonicalization could make an invalid residency simulate cleanly).
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	key := store.KeyFor(s.name, s.blocks, s.seed, s.line, cfg)
-	po := memoCell(s.memo, s.memo.entries, key)
-	tier := prepMemory
-	po.once.Do(func() {
-		if s.store != nil {
-			if e, ok := s.store.Get(key); ok {
-				tier = prepDisk
-				po.e = e
-				s.noteMeta(e.Warps, e.TotalInsts)
-				s.seedProfile(cfg, e.Profile)
-				return
-			}
-		}
-		tier = prepBuild
-		po.e, po.err = s.buildPrep(key, cfg, o)
-	})
-	sp.SetStr("prep", tier)
-	if tier == prepMemory && o != nil && o.Metrics != nil {
-		o.Counter("cache.profile.memo_hits").Inc()
-	}
-	return po.e, po.err
-}
-
-// buildPrep traces, simulates and profiles one configuration, keeping
-// only its representatives' interval profiles (model.StructuralReps).
-// With a store configured the entry is persisted; a write failure is
-// recorded on the store's counters but does not fail the estimate, since
-// the prep in hand is valid either way.
-func (s *Session) buildPrep(key store.Key, cfg Config, o *obs.Observer) (*store.Entry, error) {
-	tr, err := s.kernelTrace(o)
-	if err != nil {
-		return nil, err
-	}
-	prof, err := s.cacheProfile(cfg, o)
-	if err != nil {
-		return nil, err
-	}
-	t, profiles, reps, err := model.StructuralReps(model.Inputs{
-		Kernel:  tr,
-		Cfg:     cfg,
-		Profile: prof,
-		Workers: s.workers,
-		Obs:     o,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e := &store.Entry{
-		Key:          key,
-		Warps:        len(tr.Warps),
-		TotalInsts:   tr.TotalInsts(),
-		Profile:      prof,
-		Table:        t,
-		WarpProfiles: profiles,
-		Rep:          reps[Clustering],
-		MaxRep:       reps[MaxWarp],
-		MinRep:       reps[MinWarp],
-	}
-	if s.store != nil {
-		s.store.Put(key, e) // best-effort durability; errors are counted
-	}
-	return e, nil
-}
-
-// cacheProfile memoizes cache.Simulate per cache-geometry key
-// (config.Config.ProfileKey): the Config fields the profile depends on —
-// geometry and latencies — with the cache residency pinned at the
-// canonical profiling value (config.Config.ProfileConfig). Sweep points
-// that differ only in warps, MSHRs or DRAM bandwidth share one prep key
-// and never get here twice; prep keys that differ only in compute
-// latencies or issue width share one simulation here.
-func (s *Session) cacheProfile(cfg Config, o *obs.Observer) (*cache.Profile, error) {
-	ent := memoCell(s.memo, s.memo.profiles, cfg.ProfileKey())
-	simulated := false
-	ent.once.Do(func() {
-		simulated = true
-		tr, err := s.kernelTrace(o)
-		if err != nil {
-			ent.err = err
-			return
-		}
-		sp := o.StartSpan("cache-sim")
-		start := time.Now()
-		ent.p, ent.err = cache.Simulate(tr, cfg.ProfileConfig())
-		o.ObserveSince("stage.cachesim.seconds", start)
-		sp.End()
-		if ent.err == nil && o != nil && o.Metrics != nil {
-			t := ent.p.Totals()
-			o.Counter("cachesim.load_reqs").Add(t.LoadReqs)
-			o.Counter("cachesim.store_reqs").Add(t.StoreReqs)
-			o.Counter("cachesim.l1_hit_reqs").Add(t.L1HitReqs)
-			o.Counter("cachesim.l2_hit_reqs").Add(t.L2HitReqs)
-			o.Counter("cachesim.l2_miss_reqs").Add(t.L2MissReqs)
-		}
-	})
-	if o != nil && o.Metrics != nil {
-		if simulated {
-			o.Counter("cache.profile.memo_misses").Inc()
-		} else {
-			o.Counter("cache.profile.memo_hits").Inc()
-		}
-	}
-	return ent.p, ent.err
-}
-
-// seedProfile installs a store-loaded cache profile into the profile
-// memo, so a later build of a prep key sharing the configuration's
-// ProfileKey (another latency or issue-width variant) skips the cache
-// simulator.
-func (s *Session) seedProfile(cfg Config, p *cache.Profile) {
-	ent := memoCell(s.memo, s.memo.profiles, cfg.ProfileKey())
-	ent.once.Do(func() { ent.p = p })
-}
-
 // Estimate is the model's prediction for a kernel under one configuration.
 type Estimate struct {
 	CPI float64 // predicted cycles per warp-instruction (per core)
@@ -713,7 +552,7 @@ func (s *Session) EstimateWith(cfg Config, pol Policy, lvl Level, m Method) (*Es
 	sp.SetStr("policy", pol.String())
 	sp.SetStr("method", m.String())
 	o := s.obs.WithSpan(sp)
-	ent, err := s.prep(cfg, sp, o)
+	ent, err := s.memo.Entry(cfg, sp, o)
 	if err != nil {
 		return nil, err
 	}
@@ -772,7 +611,7 @@ func (s *Session) EstimateBaseline(cfg Config, b BaselineModel) (float64, error)
 	defer sp.End()
 	sp.SetStr("kernel", s.name)
 	sp.SetStr("model", b.String())
-	ent, err := s.prep(cfg, sp, s.obs.WithSpan(sp))
+	ent, err := s.memo.Entry(cfg, sp, s.obs.WithSpan(sp))
 	if err != nil {
 		return 0, err
 	}

@@ -210,13 +210,25 @@ func TestMicroKernelModelBounds(t *testing.T) {
 // TestModelTracksOracleAcrossAllKernels is the repository's accuracy
 // regression guard: on every registered kernel (at a reduced grid), full
 // GPUMech must stay within a sane per-kernel band and a tight aggregate
-// band of the detailed simulation.
+// band of the detailed simulation. The oracle is single-threaded, so
+// under the race detector the sweep keeps every eighth kernel, as
+// TestOracleResultsPinned does; both bands are still checked there.
 func TestModelTracksOracleAcrossAllKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-suite validation is not short")
 	}
+	names := Kernels()
+	if raceEnabled {
+		var trimmed []string
+		for i, name := range names {
+			if i%8 == 0 {
+				trimmed = append(trimmed, name)
+			}
+		}
+		names = trimmed
+	}
 	var errs []float64
-	for _, name := range Kernels() {
+	for _, name := range names {
 		sess, err := NewSession(name, WithBlocks(96))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -17,17 +17,15 @@ import (
 	"fmt"
 	"sort"
 
-	"gpumech/internal/cache"
 	"gpumech/internal/config"
-	"gpumech/internal/core/cluster"
 	"gpumech/internal/core/cpistack"
-	"gpumech/internal/core/interval"
 	"gpumech/internal/core/model"
 	"gpumech/internal/emu"
 	"gpumech/internal/gen"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/parallel"
+	"gpumech/internal/prep"
 	"gpumech/internal/stats"
 	"gpumech/internal/timing"
 	"gpumech/internal/trace"
@@ -300,19 +298,20 @@ func Run(opt Options) (*Report, error) {
 		if err != nil {
 			return fmt.Errorf("accuracy: tracing %s: %w", spec.name, err)
 		}
-		// All axis points whose cache geometry and pipeline latencies
-		// agree share one cache simulation, one PC table, one set of
-		// per-warp interval profiles and one representative selection;
+		// All axis points with equal store keys share one cache
+		// simulation, one PC table and one representative selection;
 		// with the default axes that is a single preparation per kernel
-		// (warps, MSHRs and bandwidth influence none of them).
-		preps := map[prepKey]*kernelPrep{}
+		// (warps, MSHRs and bandwidth influence none of them). The
+		// kernel fan-out provides the parallelism, so prep builds on
+		// one worker.
+		memo := prep.ForTrace(tr, opt.Seed, 1)
 		for ai, ax := range axes {
 			for pi, pol := range pols {
 				slot := base + ai*len(pols) + pi
 				if slot >= evaluated {
 					continue
 				}
-				res, err := evalPoint(tr, spec, ax, pol, preps, workers, opt.Obs)
+				res, err := evalPoint(tr, memo, spec, ax, pol, opt.Obs)
 				if err != nil {
 					return fmt.Errorf("accuracy: %s @ %s/%s: %w", spec.name, ax.Name, pol, err)
 				}
@@ -336,73 +335,10 @@ func Run(opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// prepKey identifies every configuration input of the model preparation
-// stage: the cache-profile key plus the pipeline latencies the PC table
-// bakes in and the issue rate the interval algorithm consumes. Axis
-// points with equal keys provably share the preparation.
-type prepKey struct {
-	pk                 config.ProfileKey
-	alu, fp, sfu, smem int
-	issue              int
-}
-
-// kernelPrep is the per-configuration-class preparation of one kernel:
-// cache profile, PC table, per-warp interval profiles, and the selected
-// representative warp.
-type kernelPrep struct {
-	prof     *cache.Profile
-	tbl      *interval.PCTable
-	profiles []*interval.Profile
-	rep      int
-}
-
-func prepare(tr *trace.Kernel, cfg config.Config, preps map[prepKey]*kernelPrep,
-	workers int, ob *obs.Observer) (*kernelPrep, error) {
-	key := prepKey{
-		pk:    cfg.ProfileKey(),
-		alu:   cfg.ALULatency,
-		fp:    cfg.FPLatency,
-		sfu:   cfg.SFULatency,
-		smem:  cfg.SMemLatency,
-		issue: cfg.IssueWidth,
-	}
-	if p := preps[key]; p != nil {
-		return p, nil
-	}
-	prof, err := cache.Simulate(tr, cfg.ProfileConfig())
-	if err != nil {
-		return nil, err
-	}
-	tbl := model.BuildPCTable(tr.Prog, cfg, prof)
-	profiles, err := model.BuildWarpProfilesWorkers(tr, cfg, tbl, 1)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := cluster.SelectObs(profiles, cluster.Clustering, ob)
-	if err != nil {
-		return nil, err
-	}
-	p := &kernelPrep{prof: prof, tbl: tbl, profiles: profiles, rep: rep}
-	preps[key] = p
-	return p, nil
-}
-
 // evalPoint runs the model and the timing oracle on one point.
-func evalPoint(tr *trace.Kernel, sp *kernelSpec, ax AxisPoint, pol config.Policy,
-	preps map[prepKey]*kernelPrep, workers int, ob *obs.Observer) (*Result, error) {
-	prep, err := prepare(tr, ax.Cfg, preps, workers, ob)
-	if err != nil {
-		return nil, err
-	}
-	est, err := model.RunWithRepresentative(model.Inputs{
-		Kernel:  tr,
-		Cfg:     ax.Cfg,
-		Profile: prep.prof,
-		Policy:  pol,
-		Level:   model.MTMSHRBand,
-		Workers: 1, // point-level parallelism comes from the kernel fan-out
-		Obs:     ob,
-	}, prep.tbl, prep.profiles, prep.rep)
+func evalPoint(tr *trace.Kernel, memo *prep.Memo, sp *kernelSpec, ax AxisPoint, pol config.Policy,
+	ob *obs.Observer) (*Result, error) {
+	est, err := estimate(memo, ax.Cfg, pol, ob)
 	if err != nil {
 		return nil, err
 	}
@@ -428,6 +364,23 @@ func evalPoint(tr *trace.Kernel, sp *kernelSpec, ax AxisPoint, pol config.Policy
 		ob.Histogram("accuracy.relerr").Observe(res.RelErr)
 	}
 	return res, nil
+}
+
+// estimate runs full GPUMech at cfg on the clustering representative,
+// reading the structural prep from memo.
+func estimate(memo *prep.Memo, cfg config.Config, pol config.Policy, ob *obs.Observer) (*model.Estimate, error) {
+	ent, err := memo.Entry(cfg, nil, ob)
+	if err != nil {
+		return nil, err
+	}
+	return model.RunWithRepresentative(model.Inputs{
+		Cfg:     cfg,
+		Profile: ent.Profile,
+		Policy:  pol,
+		Level:   model.MTMSHRBand,
+		Workers: 1, // point-level parallelism comes from the kernel fan-out
+		Obs:     ob,
+	}, ent.Table, ent.WarpProfiles, ent.Rep)
 }
 
 // stackMap converts the CPI stack to a category-keyed map for the JSON

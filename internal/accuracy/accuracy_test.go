@@ -9,6 +9,8 @@ import (
 	"gpumech/internal/config"
 	"gpumech/internal/emu"
 	"gpumech/internal/gen"
+	"gpumech/internal/kernels"
+	"gpumech/internal/obs"
 )
 
 // smallOpts is a fast sweep for structural tests: two registry kernels
@@ -242,5 +244,36 @@ func TestKernelsEmulateSequentially(t *testing.T) {
 				t.Errorf("%s at Workers %d: emulated over %d block ranges, want 1", spec.name, workers, st.Workers)
 			}
 		}
+	}
+}
+
+// TestPrepBuiltOncePerKernel pins the harness's prep cost: every point of
+// the default axis under both policies shares one prep key, so each
+// kernel's warps go through the interval algorithm once and its cache is
+// simulated once.
+func TestPrepBuiltOncePerKernel(t *testing.T) {
+	names := []string{"sdk_vectoradd", "rodinia_srad1"}
+	const blocks = 16
+	warps := 0
+	for _, name := range names {
+		info, err := kernels.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warps += blocks * info.WarpsPerBlock
+	}
+	reg := obs.NewRegistry()
+	rep, err := Run(Options{Kernels: names, Blocks: blocks, Seed: 1, Obs: obs.NewObserver(reg, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(names) * len(DefaultAxes()) * 2; len(rep.Results) != want {
+		t.Fatalf("got %d results, want %d", len(rep.Results), want)
+	}
+	if n := reg.Counter("interval.warps_profiled").Value(); n != int64(warps) {
+		t.Errorf("interval.warps_profiled = %d, want %d (each warp once)", n, warps)
+	}
+	if n := reg.Counter("cache.profile.memo_misses").Value(); n != int64(len(names)) {
+		t.Errorf("cache.profile.memo_misses = %d, want %d (one per kernel)", n, len(names))
 	}
 }

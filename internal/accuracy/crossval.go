@@ -15,11 +15,11 @@ import (
 	"gpumech/internal/check/perf"
 	"gpumech/internal/config"
 	"gpumech/internal/core/cpistack"
-	"gpumech/internal/core/model"
 	"gpumech/internal/gen"
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/parallel"
+	"gpumech/internal/prep"
 )
 
 // CrossOptions configures a cross-validation run.
@@ -155,7 +155,7 @@ func (s *kernelSpec) advisorInput(opt *Options) (check.LaunchInfo, *perf.Advice,
 // CrossValidate runs the advisor and the model over the selected
 // kernels and reports the label agreement. It is model-only: no timing
 // simulation runs, so a point costs one trace, one cache simulation,
-// one interval-profile build, and one model evaluation.
+// one structural prep (model.StructuralReps), and one model evaluation.
 func CrossValidate(copt CrossOptions) (*CrossReport, error) {
 	if copt.Seed == 0 {
 		copt.Seed = 1
@@ -261,20 +261,7 @@ func crossPoint(spec *kernelSpec, opt *Options, cfg *config.Config,
 	if err != nil {
 		return nil, fmt.Errorf("tracing: %w", err)
 	}
-	preps := map[prepKey]*kernelPrep{}
-	prep, err := prepare(tr, *cfg, preps, 1, ob)
-	if err != nil {
-		return nil, err
-	}
-	est, err := model.RunWithRepresentative(model.Inputs{
-		Kernel:  tr,
-		Cfg:     *cfg,
-		Profile: prep.prof,
-		Policy:  pol,
-		Level:   model.MTMSHRBand,
-		Workers: 1, // kernel fan-out provides the parallelism
-		Obs:     ob,
-	}, prep.tbl, prep.profiles, prep.rep)
+	est, err := estimate(prep.ForTrace(tr, opt.Seed, 1), *cfg, pol, ob)
 	if err != nil {
 		return nil, err
 	}

@@ -113,11 +113,6 @@ type Estimate struct {
 	Contention contention.Result
 
 	Stack cpistack.Stack
-
-	// WarpProfiles holds the per-warp interval profiles (index-aligned
-	// with Kernel.Warps); useful for diagnostics and Figure 7 style
-	// studies.
-	WarpProfiles []*interval.Profile
 }
 
 // IPCPerCore returns the predicted core IPC.
@@ -173,79 +168,89 @@ func BuildPCTable(prog *isa.Program, cfg config.Config, prof *cache.Profile) *in
 	return t
 }
 
-// BuildWarpProfiles runs the interval algorithm over every warp of the
-// kernel. The unified register namespace covers general plus predicate
-// registers. The warps are processed on the default worker pool (see
-// package parallel); use BuildWarpProfilesWorkers to pin the count.
-func BuildWarpProfiles(k *trace.Kernel, cfg config.Config, t *interval.PCTable) ([]*interval.Profile, error) {
-	return BuildWarpProfilesWorkers(k, cfg, t, 0)
-}
-
-// BuildWarpProfilesWorkers is BuildWarpProfiles on an explicit worker
-// count (0 = GPUMECH_WORKERS or GOMAXPROCS, 1 = sequential). Each warp's
-// profile is independent given the PC table, and every worker writes only
-// its own index slot, so the result is identical at any worker count.
+// BuildWarpProfilesWorkers runs the interval algorithm over every warp
+// of the kernel on an explicit worker count (0 = GPUMECH_WORKERS or
+// GOMAXPROCS, 1 = sequential). The unified register namespace covers
+// general plus predicate registers. Each warp's profile is independent
+// given the PC table, and every worker writes only its own index slot, so
+// the result is identical at any worker count.
 func BuildWarpProfilesWorkers(k *trace.Kernel, cfg config.Config, t *interval.PCTable, workers int) ([]*interval.Profile, error) {
-	profiles, _, err := profileWarps(k, cfg, t, workers, true)
-	return profiles, err
-}
-
-// profileWarps runs the interval algorithm over every warp, keeping each
-// warp's intervals only when keep is set (interval.Summarize), and
-// returns each warp's interval count alongside.
-func profileWarps(k *trace.Kernel, cfg config.Config, t *interval.PCTable, workers int, keep bool) ([]*interval.Profile, []int, error) {
 	numRegs := k.Prog.NumRegs + k.Prog.NumPreds
 	profiles := make([]*interval.Profile, len(k.Warps))
-	counts := make([]int, len(k.Warps))
 	err := parallel.ForEach(parallel.Workers(workers), len(k.Warps), func(i int) error {
 		var err error
-		if keep {
-			if profiles[i], err = interval.Build(k.Warps[i], numRegs, cfg.IssueRate(), t); err == nil {
-				counts[i] = len(profiles[i].Intervals)
-			}
-		} else {
-			profiles[i], counts[i], err = interval.Summarize(k.Warps[i], numRegs, cfg.IssueRate(), t)
-		}
-		if err != nil {
+		if profiles[i], err = interval.Build(k.Warps[i], numRegs, cfg.IssueRate(), t); err != nil {
 			return fmt.Errorf("model: warp %d: %w", i, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return profiles, counts, nil
+	return profiles, nil
 }
 
-// Structural computes the structural prep of one configuration: the
-// per-PC latency table and every warp's interval profile. It is the
-// first half of Run, exported so callers that persist or memoize prep
-// (the profile store, the accuracy harness) reuse exactly the code —
-// and exactly the spans and metrics — the one-shot path runs.
-func Structural(in Inputs) (*interval.PCTable, []*interval.Profile, error) {
-	return structural(in, true)
-}
-
-// StructuralReps is Structural for callers that keep only the
-// representative warps. It summarizes every warp (interval.Summarize),
-// selects the Clustering, Max and Min representatives on the summaries
-// (reps is indexed by cluster.Method), and then builds full profiles for
-// those warps alone. profiles is index-aligned with the warps and nil
-// except at the representatives. Selection reads only what a summary
-// holds, so the representatives and their profiles are the ones
-// Structural plus SelectRepresentative yield.
+// StructuralReps computes the structural prep of one configuration: the
+// per-PC latency table and the representative warps' interval profiles.
+// It summarizes every warp (interval.Summarize), selects the Clustering,
+// Max and Min representatives on the summaries (reps is indexed by
+// cluster.Method), and then builds full profiles for those warps alone.
+// profiles is index-aligned with the warps and nil except at the
+// representatives. Selection reads only what a summary holds, so the
+// representatives and their profiles are the ones BuildWarpProfilesWorkers
+// plus SelectRepresentative yield.
 func StructuralReps(in Inputs) (t *interval.PCTable, profiles []*interval.Profile, reps [3]int, err error) {
-	t, sums, err := structural(in, false)
+	if in.Kernel == nil {
+		return nil, nil, reps, fmt.Errorf("model: nil kernel trace")
+	}
+	if in.Profile == nil {
+		return nil, nil, reps, fmt.Errorf("model: nil cache profile (run cache.Simulate first)")
+	}
+	o := in.Obs
+	start := time.Now()
+	t = BuildPCTable(in.Kernel.Prog, in.Cfg, in.Profile)
+	if in.Tuning.DisableMergeWindow {
+		t.MergeWindow = 0
+	}
+	o.ObserveSince("stage.pctable.seconds", start)
+
+	// The pass over every warp keeps each warp's totals and interval
+	// count only (interval.Summarize); selection reads nothing else.
+	sp := o.StartSpan("interval-profiling")
+	start = time.Now()
+	numRegs := in.Kernel.Prog.NumRegs + in.Kernel.Prog.NumPreds
+	sums := make([]*interval.Profile, len(in.Kernel.Warps))
+	counts := make([]int, len(sums))
+	err = parallel.ForEach(parallel.Workers(in.Workers), len(sums), func(i int) error {
+		var err error
+		if sums[i], counts[i], err = interval.Summarize(in.Kernel.Warps[i], numRegs, in.Cfg.IssueRate(), t); err != nil {
+			return fmt.Errorf("model: warp %d: %w", i, err)
+		}
+		return nil
+	})
 	if err != nil {
+		sp.End()
 		return nil, nil, reps, err
 	}
-	if reps[cluster.Clustering], err = SelectRepresentative(sums, cluster.Clustering, in.Obs); err != nil {
+	o.ObserveSince("stage.interval_profiling.seconds", start)
+	sp.SetInt("warps", int64(len(sums)))
+	sp.End()
+	if o != nil && o.Metrics != nil {
+		intervals := o.Histogram("interval.intervals_per_warp")
+		stalls := o.Histogram("interval.stall_cycles_per_warp")
+		for i, p := range sums {
+			intervals.Observe(float64(counts[i]))
+			stalls.Observe(p.Stall)
+		}
+		o.Counter("interval.warps_profiled").Add(int64(len(sums)))
+	}
+
+	if reps[cluster.Clustering], err = SelectRepresentative(sums, cluster.Clustering, o); err != nil {
 		return nil, nil, reps, err
 	}
 	// Neither selection can fail on the non-empty set clustering took.
 	reps[cluster.Max], _ = cluster.Select(sums, cluster.Max)
 	reps[cluster.Min], _ = cluster.Select(sums, cluster.Min)
-	numRegs := in.Kernel.Prog.NumRegs + in.Kernel.Prog.NumPreds
 	profiles = make([]*interval.Profile, len(sums))
 	built := 0
 	for _, r := range reps {
@@ -257,49 +262,10 @@ func StructuralReps(in Inputs) (t *interval.PCTable, profiles []*interval.Profil
 		}
 		built++
 	}
-	if o := in.Obs; o != nil && o.Metrics != nil {
+	if o != nil && o.Metrics != nil {
 		o.Counter("interval.reps_profiled").Add(int64(built))
 	}
 	return t, profiles, reps, nil
-}
-
-// structural is Structural, keeping every warp's intervals only when
-// keep is set.
-func structural(in Inputs, keep bool) (*interval.PCTable, []*interval.Profile, error) {
-	if in.Kernel == nil {
-		return nil, nil, fmt.Errorf("model: nil kernel trace")
-	}
-	if in.Profile == nil {
-		return nil, nil, fmt.Errorf("model: nil cache profile (run cache.Simulate first)")
-	}
-	o := in.Obs
-	start := time.Now()
-	t := BuildPCTable(in.Kernel.Prog, in.Cfg, in.Profile)
-	if in.Tuning.DisableMergeWindow {
-		t.MergeWindow = 0
-	}
-	o.ObserveSince("stage.pctable.seconds", start)
-
-	sp := o.StartSpan("interval-profiling")
-	start = time.Now()
-	profiles, counts, err := profileWarps(in.Kernel, in.Cfg, t, in.Workers, keep)
-	if err != nil {
-		sp.End()
-		return nil, nil, err
-	}
-	o.ObserveSince("stage.interval_profiling.seconds", start)
-	sp.SetInt("warps", int64(len(profiles)))
-	sp.End()
-	if o != nil && o.Metrics != nil {
-		intervals := o.Histogram("interval.intervals_per_warp")
-		stalls := o.Histogram("interval.stall_cycles_per_warp")
-		for i, p := range profiles {
-			intervals.Observe(float64(counts[i]))
-			stalls.Observe(p.Stall)
-		}
-		o.Counter("interval.warps_profiled").Add(int64(len(profiles)))
-	}
-	return t, profiles, nil
 }
 
 // SelectRepresentative picks the representative warp under method m with
@@ -318,7 +284,9 @@ func SelectRepresentative(profiles []*interval.Profile, m cluster.Method, o *obs
 	return rep, nil
 }
 
-// Run evaluates GPUMech on the inputs.
+// Run evaluates GPUMech on the inputs: the structural prep
+// (StructuralReps), then the multi-warp, contention and CPI-stack stages
+// on the representative of in.Method.
 func Run(in Inputs) (*Estimate, error) {
 	if in.Kernel == nil {
 		return nil, fmt.Errorf("model: nil kernel trace")
@@ -326,15 +294,14 @@ func Run(in Inputs) (*Estimate, error) {
 	if err := in.Cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t, profiles, err := Structural(in)
+	t, profiles, reps, err := StructuralReps(in)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := SelectRepresentative(profiles, in.Method, in.Obs)
-	if err != nil {
-		return nil, err
+	if in.Method < 0 || int(in.Method) >= len(reps) {
+		return nil, fmt.Errorf("model: unknown selection method %d", in.Method)
 	}
-	return runWithProfile(in, t, profiles, rep)
+	return runWithProfile(in, t, profiles, reps[in.Method])
 }
 
 // RunWithRepresentative evaluates the model reusing previously built warp
@@ -366,7 +333,6 @@ func runWithProfile(in Inputs, t *interval.PCTable, profiles []*interval.Profile
 		RepWarp:           rep,
 		RepProfile:        p,
 		Multiwarp:         mw,
-		WarpProfiles:      profiles,
 	}
 
 	if in.Level >= MTMSHR {

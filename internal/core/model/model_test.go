@@ -127,9 +127,6 @@ func TestEstimateConsistency(t *testing.T) {
 	if est.RepWarp < 0 || est.RepWarp >= len(k.Warps) {
 		t.Errorf("rep warp %d out of range", est.RepWarp)
 	}
-	if len(est.WarpProfiles) != len(k.Warps) {
-		t.Errorf("warp profiles %d, want %d", len(est.WarpProfiles), len(k.Warps))
-	}
 	// The stack must total the predicted CPI.
 	if d := est.Stack.CPI() - est.CPI; d > 1e-6 || d < -1e-6 {
 		t.Errorf("stack CPI %g != estimate %g", est.Stack.CPI(), est.CPI)
@@ -144,7 +141,7 @@ func TestRunWithRepresentativeBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl := BuildPCTable(k.Prog, cfg, prof)
-	profiles, err := BuildWarpProfiles(k, cfg, tbl)
+	profiles, err := BuildWarpProfilesWorkers(k, cfg, tbl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +159,10 @@ func TestRunWithRepresentativeBounds(t *testing.T) {
 
 // TestStructuralRepsMatchesStructural checks that selecting on warp
 // summaries picks the representatives selection on full profiles picks,
-// and that their profiles are the full ones, on kernels whose warps
-// differ.
+// that their profiles are the full ones, and that Run answers what the
+// all-warp path answers, on kernels whose warps differ. The reference is
+// the all-warp path: BuildPCTable, BuildWarpProfilesWorkers, then
+// SelectRepresentative and RunWithRepresentative.
 func TestStructuralRepsMatchesStructural(t *testing.T) {
 	for _, name := range []string{"rodinia_bfs", "rodinia_hotspot", "sdk_reduction"} {
 		info, err := kernels.Get(name)
@@ -179,8 +178,9 @@ func TestStructuralRepsMatchesStructural(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := Inputs{Kernel: k, Cfg: cfg, Profile: prof}
-		wantT, full, err := Structural(in)
+		in := Inputs{Kernel: k, Cfg: cfg, Profile: prof, Policy: config.GTO, Level: MTMSHRBand}
+		wantT := BuildPCTable(k.Prog, cfg, prof)
+		full, err := BuildWarpProfilesWorkers(k, cfg, wantT, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestStructuralRepsMatchesStructural(t *testing.T) {
 		}
 		isRep := map[int]bool{}
 		for _, m := range []cluster.Method{cluster.Clustering, cluster.Max, cluster.Min} {
-			want, err := cluster.Select(full, m)
+			want, err := SelectRepresentative(full, m, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,6 +201,18 @@ func TestStructuralRepsMatchesStructural(t *testing.T) {
 				t.Errorf("%s: %v representative = %d, want %d", name, m, reps[m], want)
 			}
 			isRep[want] = true
+			wantEst, err := RunWithRepresentative(in, wantT, full, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.Method = m
+			gotEst, err := Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotEst, wantEst) {
+				t.Errorf("%s: %v: Run differs from the all-warp path", name, m)
+			}
 		}
 		if len(isRep) < 2 {
 			t.Errorf("%s: Max and Min pick the same warp; the kernel does not exercise selection", name)
@@ -211,7 +223,7 @@ func TestStructuralRepsMatchesStructural(t *testing.T) {
 		for i, p := range profiles {
 			switch {
 			case isRep[i] && !reflect.DeepEqual(p, full[i]):
-				t.Errorf("%s: representative %d: profile differs from Structural's", name, i)
+				t.Errorf("%s: representative %d: profile differs from the all-warp path's", name, i)
 			case !isRep[i] && p != nil:
 				t.Errorf("%s: warp %d is no representative but has a profile", name, i)
 			}
@@ -233,6 +245,9 @@ func TestRunInputValidation(t *testing.T) {
 	bad.Cores = 0
 	if _, err := Run(Inputs{Kernel: k, Cfg: bad, Profile: prof}); err == nil {
 		t.Error("invalid config accepted")
+	}
+	if _, err := Run(Inputs{Kernel: k, Cfg: cfg, Profile: prof, Method: 3}); err == nil {
+		t.Error("unknown selection method accepted")
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"gpumech/internal/kernels"
 	"gpumech/internal/obs"
 	"gpumech/internal/parallel"
+	"gpumech/internal/prep"
 	"gpumech/internal/timing"
 	"gpumech/internal/trace"
 )
@@ -105,6 +106,10 @@ type Eval struct {
 	FullMin float64
 
 	Stack cpistack.Stack // CPI stack of the full model
+
+	// OracleStalls is the oracle's measured share of core cycles per
+	// stall reason (timing.Result.StallBreakdown).
+	OracleStalls map[string]float64
 }
 
 // Errs returns the relative error of each Table II model against the
@@ -163,59 +168,13 @@ func (t *Timing) Speedup() float64 {
 	return t.OracleSecs / d
 }
 
-// kernelCtx holds one traced kernel and its per-configuration cache
-// profiles. Each profile entry is simulated at most once (sync.Once), so
-// concurrent points of the same kernel share the work instead of racing
-// on a plain map.
+// kernelCtx holds one traced kernel and its structural-prep memo (no
+// profile store). Each prep key and each cache-profile key resolves at
+// most once, so concurrent points of the same kernel share the work.
 type kernelCtx struct {
 	name string
 	tr   *trace.Kernel
-	obs  *obs.Observer
-
-	mu       sync.Mutex
-	profiles map[cache.ProfileKey]*profileEntry
-}
-
-type profileEntry struct {
-	once sync.Once
-	p    *cache.Profile
-	err  error
-	secs float64 // wall-clock of the simulation that filled the entry
-}
-
-// profile memoizes cache.Simulate per cache-geometry key
-// (config.Config.ProfileKey), simulating under the canonical profiling
-// configuration (config.Config.ProfileConfig). Sweep points that cannot
-// change the profile — warps, MSHRs, bandwidth, i.e. all of Figs. 13–15 —
-// share one simulation per kernel while geometry changes do not.
-func (kc *kernelCtx) profile(cfg config.Config) (*cache.Profile, float64, error) {
-	key := cfg.ProfileKey()
-	kc.mu.Lock()
-	ent := kc.profiles[key]
-	if ent == nil {
-		ent = &profileEntry{}
-		kc.profiles[key] = ent
-	}
-	kc.mu.Unlock()
-	simulated := false
-	ent.once.Do(func() {
-		simulated = true
-		sp := kc.obs.StartSpan("cache-sim")
-		sp.SetStr("kernel", kc.name)
-		start := time.Now()
-		ent.p, ent.err = cache.Simulate(kc.tr, cfg.ProfileConfig())
-		ent.secs = time.Since(start).Seconds()
-		kc.obs.ObserveSince("stage.cachesim.seconds", start)
-		sp.End()
-	})
-	if o := kc.obs; o != nil && o.Metrics != nil {
-		if simulated {
-			o.Counter("cache.profile.memo_misses").Inc()
-		} else {
-			o.Counter("cache.profile.memo_hits").Inc()
-		}
-	}
-	return ent.p, ent.secs, ent.err
+	memo *prep.Memo
 }
 
 // Evaluator runs and caches evaluations kernel by kernel.
@@ -302,7 +261,7 @@ func (e *Evaluator) traceKernel(name string, logf logFunc) (*kernelCtx, error) {
 		o.Counter("trace.kernels").Inc()
 		o.Counter("trace.instructions").Add(tr.TotalInsts())
 	}
-	kc := &kernelCtx{name: name, tr: tr, obs: e.opt.Obs, profiles: make(map[cache.ProfileKey]*profileEntry)}
+	kc := &kernelCtx{name: name, tr: tr, memo: prep.ForTrace(tr, e.opt.Seed, e.workers)}
 	e.mu.Lock()
 	if _, ok := e.timings[name]; !ok {
 		e.timings[name] = &Timing{Kernel: name, TraceSecs: time.Since(start).Seconds(), TraceInsts: tr.TotalInsts()}
@@ -373,70 +332,50 @@ func (e *Evaluator) evalPoint(kc *kernelCtx, cfg config.Config, pol config.Polic
 	psp.SetStr("config", cfgSig(cfg, pol))
 	po := e.opt.Obs.WithSpan(psp)
 
-	prof, cacheSecs, err := kc.profile(cfg)
-	if err != nil {
-		return nil, err
-	}
-
 	ev := &Eval{Kernel: kc.name, Cfg: cfg, Policy: pol}
-	var oneTimeSecs, modelSecs, oracleSecs float64
+	var tm stageTimes
+	var oracleSecs float64
 	var oracleCycles int64
 
 	runModels := func() error {
-		modelStart := time.Now()
-		in := model.Inputs{Kernel: kc.tr, Cfg: cfg, Profile: prof, Policy: pol, Workers: e.workers, Obs: po}
-		tbl, profiles, reps, err := model.StructuralReps(in)
+		ent, err := kc.memo.Entry(cfg, psp, po)
 		if err != nil {
 			return err
 		}
-		rep := reps[cluster.Clustering]
+		in := model.Inputs{Cfg: cfg, Profile: ent.Profile, Policy: pol, Workers: e.workers, Obs: po}
 		runLevel := func(lvl model.Level, rep int) (float64, cpistack.Stack, error) {
 			in.Level = lvl
-			est, err := model.RunWithRepresentative(in, tbl, profiles, rep)
+			est, err := model.RunWithRepresentative(in, ent.Table, ent.WarpProfiles, rep)
 			if err != nil {
 				return 0, cpistack.Stack{}, err
 			}
 			return est.CPI, est.Stack, nil
 		}
-		if ev.MT, _, err = runLevel(model.MT, rep); err != nil {
+		if ev.MT, _, err = runLevel(model.MT, ent.Rep); err != nil {
 			return err
 		}
-		if ev.MTMSHR, _, err = runLevel(model.MTMSHR, rep); err != nil {
+		if ev.MTMSHR, _, err = runLevel(model.MTMSHR, ent.Rep); err != nil {
 			return err
 		}
-		if ev.Full, ev.Stack, err = runLevel(model.MTMSHRBand, rep); err != nil {
+		if ev.Full, ev.Stack, err = runLevel(model.MTMSHRBand, ent.Rep); err != nil {
 			return err
 		}
-		if ev.Naive, err = baseline.NaiveInterval(profiles[rep], cfg.WarpsPerCore); err != nil {
+		if ev.Naive, err = baseline.NaiveInterval(ent.WarpProfiles[ent.Rep], cfg.WarpsPerCore); err != nil {
 			return err
 		}
-		if ev.Markov, err = baseline.MarkovChain(profiles[rep], cfg.WarpsPerCore); err != nil {
+		if ev.Markov, err = baseline.MarkovChain(ent.WarpProfiles[ent.Rep], cfg.WarpsPerCore); err != nil {
 			return err
 		}
-		if ev.FullMax, _, err = runLevel(model.MTMSHRBand, reps[cluster.Max]); err != nil {
+		if ev.FullMax, _, err = runLevel(model.MTMSHRBand, ent.MaxRep); err != nil {
 			return err
 		}
-		if ev.FullMin, _, err = runLevel(model.MTMSHRBand, reps[cluster.Min]); err != nil {
+		if ev.FullMin, _, err = runLevel(model.MTMSHRBand, ent.MinRep); err != nil {
 			return err
 		}
 		if isBaseline {
-			// Everything up to here summarized every warp's intervals,
-			// ran clustering and profiled the Clustering, Max and Min
-			// representatives in full: the one-time per-input cost.
-			oneTimeSecs = time.Since(modelStart).Seconds()
-			// The per-configuration cost reruns the interval algorithm on
-			// the representative warp only and re-evaluates the models
-			// (Section VI-D's exploration mode).
-			perCfg := time.Now()
-			if _, err := interval.Build(kc.tr.Warps[rep], kc.tr.Prog.NumRegs+kc.tr.Prog.NumPreds, cfg.IssueRate(), tbl); err != nil {
-				return err
-			}
-			if _, _, err := runLevel(model.MTMSHRBand, rep); err != nil {
-				return err
-			}
-			modelSecs = time.Since(perCfg).Seconds()
+			tm, err = timeStages(kc.tr, cfg, pol, e.workers)
 		}
-		return nil
+		return err
 	}
 
 	runOracle := func() error {
@@ -448,6 +387,7 @@ func (e *Evaluator) evalPoint(kc *kernelCtx, cfg config.Config, pol config.Polic
 			return err
 		}
 		ev.Oracle = orc.CPI
+		ev.OracleStalls = orc.StallBreakdown()
 		oracleSecs = time.Since(start).Seconds()
 		oracleCycles = orc.Cycles
 		po.ObserveSince("stage.oracle.seconds", start)
@@ -482,9 +422,9 @@ func (e *Evaluator) evalPoint(kc *kernelCtx, cfg config.Config, pol config.Polic
 	e.mu.Lock()
 	if isBaseline {
 		if t := e.timings[kc.name]; t != nil {
-			t.CacheSimSecs = cacheSecs
-			t.OneTimeSecs = oneTimeSecs
-			t.ModelSecs = modelSecs
+			t.CacheSimSecs = tm.cacheSim
+			t.OneTimeSecs = tm.oneTime
+			t.ModelSecs = tm.model
 			t.OracleSecs = oracleSecs
 			t.OracleCycles = oracleCycles
 		}
@@ -496,6 +436,44 @@ func (e *Evaluator) evalPoint(kc *kernelCtx, cfg config.Config, pol config.Polic
 	}
 	e.mu.Unlock()
 	return ev, nil
+}
+
+// stageTimes is one uncached build's wall-clock per Section VI-D stage.
+type stageTimes struct {
+	cacheSim, oneTime, model float64
+}
+
+// timeStages times one explicit uncached build of tr at cfg, without the
+// observer, so the Section VI-D columns measure the same stages whichever
+// point filled the prep memo: the cache simulation, the one-time
+// structural prep (model.StructuralReps), and the per-configuration
+// model, which reruns the interval algorithm on the representative warp
+// only and evaluates the full model once (the paper's exploration mode).
+func timeStages(tr *trace.Kernel, cfg config.Config, pol config.Policy, workers int) (stageTimes, error) {
+	var tm stageTimes
+	start := time.Now()
+	prof, err := cache.Simulate(tr, cfg.ProfileConfig())
+	if err != nil {
+		return tm, err
+	}
+	tm.cacheSim = time.Since(start).Seconds()
+	in := model.Inputs{Kernel: tr, Cfg: cfg, Profile: prof, Policy: pol, Level: model.MTMSHRBand, Workers: workers}
+	start = time.Now()
+	tbl, profiles, reps, err := model.StructuralReps(in)
+	if err != nil {
+		return tm, err
+	}
+	tm.oneTime = time.Since(start).Seconds()
+	start = time.Now()
+	rep := reps[cluster.Clustering]
+	if _, err := interval.Build(tr.Warps[rep], tr.Prog.NumRegs+tr.Prog.NumPreds, cfg.IssueRate(), tbl); err != nil {
+		return tm, err
+	}
+	if _, err := model.RunWithRepresentative(in, tbl, profiles, rep); err != nil {
+		return tm, err
+	}
+	tm.model = time.Since(start).Seconds()
+	return tm, nil
 }
 
 // point is one (configuration, policy) evaluation of a kernel.

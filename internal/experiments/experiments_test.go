@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"gpumech/internal/config"
+	"gpumech/internal/kernels"
+	"gpumech/internal/obs"
 )
 
 // tinyEvaluator uses two cheap kernels at a small grid so the whole
@@ -138,5 +140,37 @@ func TestFigureIDsMatchBuilders(t *testing.T) {
 	}
 	if figs[0].ID != "fig04" || len(figs[0].Rows) != 4 {
 		t.Errorf("fig04 shape wrong: %+v", figs[0].Rows)
+	}
+}
+
+// TestPrepBuiltOncePerKernel pins the profile-once, explore-many cost of
+// a figure run: every point of Figs. 11-15 on a kernel shares one prep
+// key, so each kernel's warps go through the interval algorithm once and
+// its cache is simulated once, however many points and workers there
+// are. (The Section VI-D timing build runs without the observer.)
+func TestPrepBuiltOncePerKernel(t *testing.T) {
+	names := []string{"sdk_vectoradd", "rodinia_cfd_compute_flux"}
+	const blocks = 64
+	warps := 0
+	for _, name := range names {
+		info, err := kernels.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warps += blocks * info.WarpsPerBlock
+	}
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		e := NewEvaluator(Options{Kernels: names, Blocks: blocks, Quick: true, Workers: workers,
+			Obs: obs.NewObserver(reg, nil)})
+		if _, err := e.Run([]string{"fig11", "fig12", "fig13", "fig14", "fig15"}); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg.Counter("interval.warps_profiled").Value(); n != int64(warps) {
+			t.Errorf("workers=%d: interval.warps_profiled = %d, want %d (each warp once)", workers, n, warps)
+		}
+		if n := reg.Counter("cache.profile.memo_misses").Value(); n != int64(len(names)) {
+			t.Errorf("workers=%d: cache.profile.memo_misses = %d, want %d (one per kernel)", workers, n, len(names))
+		}
 	}
 }

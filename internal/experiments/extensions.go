@@ -72,7 +72,7 @@ func (e *Evaluator) Ablation() (*report.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof, _, err := kc.profile(cfg)
+		prof, err := kc.memo.Profile(cfg, e.opt.Obs)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +130,7 @@ func (e *Evaluator) SFUExtension() (*report.Figure, error) {
 		}
 		for _, lanes := range []int{8, 4} {
 			cfg := e.Baseline().WithSFUs(lanes)
-			prof, _, err := kc.profile(cfg)
+			prof, err := kc.memo.Profile(cfg, e.opt.Obs)
 			if err != nil {
 				return nil, err
 			}

@@ -5,7 +5,6 @@ import (
 	"gpumech/internal/core/cpistack"
 	"gpumech/internal/report"
 	"gpumech/internal/stats"
-	"gpumech/internal/timing"
 )
 
 // stackKernels cover the main bottleneck classes for the stack-validation
@@ -47,15 +46,7 @@ func (e *Evaluator) Stacks() (*report.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		kc, err := e.ensureKernel(k)
-		if err != nil {
-			return nil, err
-		}
-		orc, err := timing.Simulate(kc.tr, cfg, config.RR)
-		if err != nil {
-			return nil, err
-		}
-		bd := orc.StallBreakdown()
+		bd := ev.OracleStalls
 
 		mQueue := (ev.Stack[cpistack.MSHR] + ev.Stack[cpistack.Queue] + ev.Stack[cpistack.SFU]) / ev.Stack.CPI()
 		oQueue := bd["mshr"] + bd["dram-queue"]

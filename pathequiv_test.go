@@ -56,10 +56,13 @@ func sequentialTrace(t *testing.T, info *kernels.Info, blocks int) *trace.Kernel
 	return tr
 }
 
-// referenceAnswers computes the answers the one-shot pipeline gives on a
+// referenceAnswers computes the answers the all-warp pipeline gives on a
 // trace from the sequential emulator, with no memo, store, trace file or
-// parallel emulation involved: the contract every Session path must
-// meet.
+// parallel emulation involved: a full interval profile of every warp
+// (model.BuildWarpProfilesWorkers), selection on those profiles, and the
+// model on the selected warp. It selects on full profiles where
+// model.StructuralReps selects on summaries, so it is an independent
+// contract every Session path must meet.
 func referenceAnswers(t *testing.T, kernel string) pathAnswers {
 	t.Helper()
 	info, err := kernels.Get(kernel)
@@ -73,10 +76,21 @@ func referenceAnswers(t *testing.T, kernel string) pathAnswers {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tbl := model.BuildPCTable(tr.Prog, cfg, prof)
+		profiles, err := model.BuildWarpProfilesWorkers(tr, cfg, tbl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := map[Method]int{}
+		for _, m := range []Method{Clustering, MaxWarp, MinWarp} {
+			if reps[m], err = model.SelectRepresentative(profiles, m, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, pol := range []Policy{RR, GTO} {
 			for _, m := range []Method{Clustering, MaxWarp, MinWarp} {
-				est, err := model.Run(model.Inputs{Kernel: tr, Cfg: cfg, Profile: prof,
-					Policy: pol, Method: m, Level: MTMSHRBand})
+				est, err := model.RunWithRepresentative(model.Inputs{Cfg: cfg, Profile: prof,
+					Policy: pol, Method: m, Level: MTMSHRBand}, tbl, profiles, reps[m])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -94,20 +108,12 @@ func referenceAnswers(t *testing.T, kernel string) pathAnswers {
 				})
 			}
 		}
-		_, profiles, err := model.Structural(model.Inputs{Kernel: tr, Cfg: cfg, Profile: prof})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := model.SelectRepresentative(profiles, Clustering, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, b := range []BaselineModel{NaiveInterval, MarkovChain} {
 			f := baseline.NaiveInterval
 			if b == MarkovChain {
 				f = baseline.MarkovChain
 			}
-			cpi, err := f(profiles[rep], cfg.WarpsPerCore)
+			cpi, err := f(profiles[reps[Clustering]], cfg.WarpsPerCore)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +155,7 @@ func floatBits(f float64) string { return fmt.Sprintf("%016x", math.Float64bits(
 // session reading the same directory), an Observing view, sessions that
 // emulate and profile on one worker and on four, a session over the
 // storeless session's trace saved as a v2 file, and a session that loads
-// its trace from a trace cache instead of emulating — gives the one-shot
+// its trace from a trace cache instead of emulating — gives the all-warp
 // pipeline's answers bit for bit, for every kernel of the sample, both
 // policies, all three selection methods and both baseline models.
 func TestEntryPathsAgree(t *testing.T) {
@@ -201,7 +207,7 @@ func TestEntryPathsAgree(t *testing.T) {
 				got := sessionAnswers(t, p.sess())
 				for k, w := range want {
 					if got[k] != w {
-						t.Errorf("%s %s: differs from the one-shot pipeline\n want %q\n  got %q", p.name, k, w, got[k])
+						t.Errorf("%s %s: differs from the all-warp pipeline\n want %q\n  got %q", p.name, k, w, got[k])
 					}
 				}
 			}

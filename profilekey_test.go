@@ -36,7 +36,7 @@ func TestIntervalProfilesInvariantAcrossProfileKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		tbl := model.BuildPCTable(tr.Prog, cfg, prof)
-		profiles, err := model.BuildWarpProfiles(tr, cfg, tbl)
+		profiles, err := model.BuildWarpProfilesWorkers(tr, cfg, tbl, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
