@@ -121,6 +121,20 @@ func FuzzEmuAcceptsVerifiedPrograms(f *testing.F) {
 		byte(isa.OpStG), 0, 1, 1, 0, 0, 0, 2,
 		byte(isa.OpLdG), 2, 1, 0, 0, 0, 0xff, 2,
 	})
+	// A shared load through an address near MaxInt64, read back from
+	// global memory so the checker cannot bound it: r0 = 0, r1 = 1<<63 - 2
+	// via movi/shl/iaddi, st.global [r0] <- r1, ld.global r2 <- [r0],
+	// then ld.shared r3 <- [r2]. The end of the access overflows int64;
+	// the emulator must report it out of bounds rather than panic.
+	f.Add([]byte{
+		byte(isa.OpMovI), 0, 0, 0, 0, 0, 0, 0,
+		byte(isa.OpMovI), 1, 0, 0, 0, 0, 1, 0,
+		byte(isa.OpShl), 1, 1, 0, 0, 0, 63, 0,
+		byte(isa.OpIAddI), 1, 1, 0, 0, 0, 0xfe, 0,
+		byte(isa.OpStG), 0, 0, 1, 0, 0, 0, byte(isa.MemI64),
+		byte(isa.OpLdG), 2, 0, 0, 0, 0, 0, byte(isa.MemI64),
+		byte(isa.OpLdS), 3, 2, 0, 0, 0, 0, byte(isa.MemI32),
+	})
 	// Generator-driven seeds: every template of internal/gen (straight
 	// line, if/else with reconvergence, counted loop, barrier phases),
 	// folded down to the fuzz format. One seed per stream index covers
