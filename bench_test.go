@@ -20,6 +20,7 @@ import (
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
 	"gpumech/internal/core/model"
+	"gpumech/internal/emu"
 	"gpumech/internal/experiments"
 	"gpumech/internal/kernels"
 	"gpumech/internal/timing"
@@ -173,24 +174,41 @@ func benchKernelTrace(b *testing.B, name string, blocks int) *trace.Kernel {
 	return tr
 }
 
-// BenchmarkEmulator measures functional-emulation throughput
-// (instructions per second appear as insts/op via b.ReportMetric).
+// BenchmarkEmulator measures the functional emulator's single-core cost
+// in ns per emulated warp-instruction (ns/inst) on rodinia_srad1 and the
+// three kernels of the first_contact benchmark workload, at 128 blocks
+// on one worker. Each iteration emulates from a fresh copy of the launch
+// memory; building and copying it is left out of the time, while the
+// pre-flight check and trace validation are in it.
 func BenchmarkEmulator(b *testing.B) {
-	info, err := kernels.Get("rodinia_srad1")
-	if err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"rodinia_srad1", "sdk_transpose_naive", "rodinia_hotspot", "sdk_scan"} {
+		b.Run(name, func(b *testing.B) {
+			info, err := kernels.Get(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, err := info.EmuLaunch(kernels.Scale{Blocks: 128, Seed: 1}, 128)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l.Workers = 1
+			mem := l.Mem
+			var insts int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				l.Mem = mem.Clone()
+				b.StartTimer()
+				tr, err := emu.Run(l)
+				if err != nil {
+					b.Fatal(err)
+				}
+				insts += tr.TotalInsts()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/inst")
+		})
 	}
-	var insts int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr, err := info.Trace(kernels.Scale{Blocks: 64, Seed: 1}, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts = tr.TotalInsts()
-	}
-	b.ReportMetric(float64(insts), "insts")
 }
 
 // BenchmarkCacheSimulator measures the functional cache simulation.

@@ -8,7 +8,7 @@
 // depends on (Section IV-B of the paper).
 package coalesce
 
-import "sort"
+import "slices"
 
 // Lines returns the sorted unique line base addresses touched by the given
 // per-lane accesses. Each access covers [addr, addr+accessBytes). lineBytes
@@ -46,7 +46,7 @@ func LinesInto(dst []uint64, addrs []uint64, accessBytes, lineBytes int) []uint6
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out) // the lines are distinct, so any sort orders them alike
 	return out
 }
 

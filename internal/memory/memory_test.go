@@ -170,3 +170,29 @@ func TestQuickWriteReadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSliceSettersMatchElementWrites: the slice setters write each
+// page's run in one piece, so they must leave exactly the bytes and
+// pages that storing the values one at a time does, at any alignment,
+// across page boundaries and with a value straddling one.
+func TestSliceSettersMatchElementWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, base := range []uint64{0, 1, 4094, 4095, 4096, 8190, 3 << 20, 3<<20 + 2} {
+		for _, n := range []int{0, 1, 3, 1023, 1024, 1025, 3000} {
+			fs, is := make([]float32, n), make([]int32, n)
+			for i := range fs {
+				fs[i], is[i] = rng.Float32()*8-4, rng.Int31()-1<<30
+			}
+			got, want := New(), New()
+			got.SetF32Slice(base, fs)
+			got.SetI32Slice(base+1<<16, is)
+			for i := range fs {
+				want.SetF32(base+uint64(4*i), fs[i])
+				want.SetI32(base+1<<16+uint64(4*i), is[i])
+			}
+			if !got.Equal(want) {
+				t.Fatalf("base %d, %d values: memory differs from element-wise stores", base, n)
+			}
+		}
+	}
+}
