@@ -134,27 +134,55 @@ func (o *Overlay) writeBytes(addr uint64, src []byte) {
 		n := min(pageSize-off, len(src))
 		p := o.private(addr >> pageBits)
 		copy(p.data[off:off+n], src[:n])
-		p.chunks |= chunkMask(off, n)
-		for i := off; i < off+n; i++ {
-			p.written[i>>6] |= 1 << (i & 63)
-		}
+		p.markWritten(off, n)
 		src = src[n:]
 		addr += uint64(n)
 	}
 }
 
+// markWritten records bytes [off, off+n) of the page as written.
+func (p *ownPage) markWritten(off, n int) {
+	p.chunks |= chunkMask(off, n)
+	for n > 0 {
+		bit := off & 63
+		k := min(n, 64-bit)
+		p.written[off>>6] |= ^uint64(0) >> (64 - k) << bit
+		off, n = off+k, n-k
+	}
+}
+
 // Read returns size (1, 4, or 8) bytes at addr as a little-endian uint64.
 func (o *Overlay) Read(addr uint64, size int) uint64 {
-	var buf [8]byte
-	o.readBytes(addr, buf[:size])
-	return binary.LittleEndian.Uint64(buf[:])
+	off, ok := inPage(addr, size)
+	if !ok {
+		var buf [8]byte
+		o.readBytes(addr, buf[:size])
+		return binary.LittleEndian.Uint64(buf[:])
+	}
+	if key := addr >> pageBits; !o.valid || key != o.key {
+		o.cache(key)
+	}
+	if o.reads != nil {
+		o.rbits |= chunkMask(off, size)
+	}
+	if p := o.data; p != nil {
+		return loadLE(p[off : off+size])
+	}
+	return 0
 }
 
 // Write stores the low size (1, 4, or 8) bytes of v at addr.
 func (o *Overlay) Write(addr uint64, size int, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	o.writeBytes(addr, buf[:size])
+	off, ok := inPage(addr, size)
+	if !ok {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		o.writeBytes(addr, buf[:size])
+		return
+	}
+	p := o.private(addr >> pageBits)
+	storeLE(p.data[off:off+size], v)
+	p.markWritten(off, size)
 }
 
 // ReadsFrom reports whether o read any 64-byte chunk that earlier wrote
@@ -209,4 +237,43 @@ func (o *Overlay) Commit() {
 		}
 	}
 	o.own, o.reads, o.data, o.ownp, o.valid, o.rbits = nil, nil, nil, nil, false, 0
+}
+
+// inPage returns addr's page offset and whether the size-byte access
+// there is one Overlay.Read or Write can make in place: 1 to 8 bytes, all in
+// one page.
+func inPage(addr uint64, size int) (int, bool) {
+	off := int(addr & (pageSize - 1))
+	return off, size > 0 && size <= 8 && off+size <= pageSize
+}
+
+// loadLE returns the 1 to 8 bytes of b as a little-endian uint64.
+func loadLE(b []byte) uint64 {
+	switch len(b) {
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 1:
+		return uint64(b[0])
+	}
+	var buf [8]byte
+	copy(buf[:], b)
+	return binary.LittleEndian.Uint64(buf[:])
+}
+
+// storeLE stores the low len(b) (1 to 8) bytes of v in b, little-endian.
+func storeLE(b []byte, v uint64) {
+	switch len(b) {
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 1:
+		b[0] = byte(v)
+	default:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		copy(b, buf[:])
+	}
 }
