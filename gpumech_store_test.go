@@ -2,11 +2,14 @@ package gpumech
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"gpumech/internal/obs"
+	"gpumech/internal/store"
 )
 
 // estimateFingerprint renders an estimate to bytes so identity checks
@@ -188,5 +191,105 @@ func TestProfileStoreCorruptEntryRebuilds(t *testing.T) {
 	if string(rebuilt) != string(clean) {
 		t.Errorf("rebuilt entry is not byte-identical to the original (%d vs %d bytes)",
 			len(rebuilt), len(clean))
+	}
+}
+
+// storeBenchKernels are the kernels of the serve_store benchmark
+// workload, whose entries BenchmarkStoreGet and BenchmarkStorePut use
+// at its 128-block grid.
+var storeBenchKernels = []string{"rodinia_hotspot", "sdk_reduction", "rodinia_srad2"}
+
+var storeBench struct {
+	once    sync.Once
+	keys    []store.Key
+	entries []*store.Entry
+	err     error
+}
+
+// storeBenchEntries builds the entries of storeBenchKernels once per
+// process, through store-backed Sessions, and reads them back.
+func storeBenchEntries(b *testing.B) ([]store.Key, []*store.Entry) {
+	storeBench.once.Do(func() {
+		dir, err := os.MkdirTemp("", "gpumech-storebench-")
+		if err != nil {
+			storeBench.err = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		st, err := store.Open(dir, nil)
+		if err != nil {
+			storeBench.err = err
+			return
+		}
+		cfg := DefaultConfig()
+		for _, k := range storeBenchKernels {
+			s, err := NewSession(k, WithBlocks(128), WithProfileStore(dir))
+			if err == nil {
+				_, err = s.Estimate(cfg, RR)
+			}
+			if err != nil {
+				storeBench.err = err
+				return
+			}
+			key := store.KeyFor(k, 128, 1, 128, cfg) // a Session's default seed and line
+			e, ok := st.Get(key)
+			if !ok {
+				storeBench.err = fmt.Errorf("%s: the session stored no entry under %s", k, key.Hash())
+				return
+			}
+			storeBench.keys = append(storeBench.keys, key)
+			storeBench.entries = append(storeBench.entries, e)
+		}
+	})
+	if storeBench.err != nil {
+		b.Fatal(storeBench.err)
+	}
+	return storeBench.keys, storeBench.entries
+}
+
+// BenchmarkStoreGet measures one profile-store read, the call a backend
+// makes to re-admit an evicted session: open, read, verify and decode,
+// cycling over the serve_store entries. file_B is their mean size.
+func BenchmarkStoreGet(b *testing.B) {
+	keys, entries := storeBenchEntries(b)
+	st, err := store.Open(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := 0
+	for i, k := range keys {
+		if err := st.Put(k, entries[i]); err != nil {
+			b.Fatal(err)
+		}
+		fi, err := os.Stat(st.Path(k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		size += int(fi.Size())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := st.Get(keys[i%len(keys)]); !ok {
+			b.Fatal("Get missed a stored entry")
+		}
+	}
+	b.ReportMetric(float64(size)/float64(len(keys)), "file_B")
+}
+
+// BenchmarkStorePut measures one profile-store write of a serve_store
+// entry: encode, write a temp file, fsync, rename.
+func BenchmarkStorePut(b *testing.B) {
+	keys, entries := storeBenchEntries(b)
+	st, err := store.Open(b.TempDir(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Put(keys[i%len(keys)], entries[i%len(keys)]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

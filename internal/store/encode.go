@@ -1,42 +1,41 @@
 package store
 
-// The on-disk entry format, version 2:
+// The on-disk entry format, version 3:
 //
 //	magic   "GMPF" (4 bytes)
 //	version uint16 little-endian
-//	header  uvarint length + gob(entryHeader) — the key, the session
-//	        metadata, the profile's simulation config, the Clustering,
-//	        Max and Min representatives, section counts
-//	body    hand-rolled binary sections (see below)
+//	header  the key, the session metadata, the profile's simulation
+//	        config, the Clustering, Max and Min representatives and the
+//	        section counts, in a fixed field order
+//	body    the cache profile, the PC table, and the interval profiles of
+//	        the distinct representatives in ascending warp order
 //	trailer SHA-256 (32 bytes) of every preceding byte, magic included
 //
-// The body holds the bulk data in a compact fixed layout rather than
-// gob: counts as uvarints, cycle quantities as raw IEEE-754 bits (so a
-// decoded profile is bit-identical to the one encoded — the foundation
-// of the store's byte-identical-responses guarantee), and the per-PC
-// map sorted by PC so the bytes of an entry are a deterministic
-// function of its content. Its sections are the cache profile, the PC
-// table, and the interval profiles of the distinct representatives in
-// ascending warp order; no other warp's profile is stored.
+// Header and body share one encoding: signed fields as zigzag varints,
+// counts and per-PC statistics as uvarints, every float (cycle
+// quantities and the config's clock and bandwidth) as raw IEEE-754 bits,
+// so a decoded profile is bit-identical to the one encoded — the
+// foundation of the store's byte-identical-responses guarantee. The
+// per-PC map is sorted by PC, so the bytes of an entry are a
+// deterministic function of its content; no other warp's profile is
+// stored.
 //
 // The version is part of the hashed key (Key.canonical), so a reader
 // never opens a file written in another version: such a directory reads
 // as all misses and is rebuilt entry by entry.
 //
-// Readers stream the file once through a SHA-256 tee and compare the
-// trailer at the end; any mismatch — including truncation, a flipped
-// bit, or trailing garbage after the trailer — is reported as an error,
+// Get reads a file whole into one buffer and checks the trailer before
+// parsing a byte. The decoder then accepts exactly what the encoder
+// writes: a varint in its shortest form, a flag of 0 or 1, PCs strictly
+// ascending, no byte after the body. Every count is bounded by the bytes
+// left before anything is allocated for it. Any defect is an error,
 // which Store.Get converts into a miss.
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"gpumech/internal/cache"
@@ -45,11 +44,27 @@ import (
 	"gpumech/internal/isa"
 )
 
-const formatVersion = 2
+const formatVersion = 3
 
 var magic = [4]byte{'G', 'M', 'P', 'F'}
 
-// entryHeader is the gob-encoded metadata blob at the head of an entry.
+const (
+	// maxEntryBytes caps the size of a file Get reads: a larger one is a
+	// miss and is never read whole.
+	maxEntryBytes = 256 << 20
+
+	// maxWarps caps NumWarps, the one count no bytes back: only the
+	// representatives' profiles are stored, but Get allocates a slot for
+	// every warp. Put refuses a larger entry.
+	maxWarps = 1 << 20
+
+	// The fewest bytes one item of a section can encode to.
+	pcStatBytes   = 10      // uvarint PC, flag byte, eight uvarints
+	tableRowBytes = 6 * 8   // one float in each of the six columns
+	intervalBytes = 5*8 + 5 // five floats, three uvarints, a varint, a class byte
+)
+
+// entryHeader is the metadata at the head of an entry.
 type entryHeader struct {
 	Key        Key
 	Warps      int
@@ -63,22 +78,19 @@ type entryHeader struct {
 	NumWarps   int // length of the index-aligned WarpProfiles
 }
 
-// maxSectionItems bounds every count decoded from an entry before any
-// allocation, so a corrupt length can cost at most a bounded slice, not
-// an out-of-memory abort.
-const maxSectionItems = 1 << 26
-
-// encodeEntry writes the slim entry e (see Entry.Slim) to w and returns
-// the byte count written.
-func encodeEntry(w io.Writer, e *Entry) (int64, error) {
+// encodeEntry returns the encoding of the slim entry e (see Entry.Slim).
+func encodeEntry(e *Entry) ([]byte, error) {
 	if e.Profile == nil || e.Table == nil {
-		return 0, errors.New("store: entry missing profile or table")
+		return nil, errors.New("store: entry missing profile or table")
+	}
+	if len(e.WarpProfiles) > maxWarps {
+		return nil, fmt.Errorf("store: %d warps exceed the format's %d", len(e.WarpProfiles), maxWarps)
 	}
 	var body []*interval.Profile
 	for _, r := range e.reps() {
 		body = append(body, e.WarpProfiles[r])
 	}
-	return writeEntry(w, entryHeader{
+	return frameEntry(&entryHeader{
 		Key:        e.Key,
 		Warps:      e.Warps,
 		TotalInsts: e.TotalInsts,
@@ -89,96 +101,48 @@ func encodeEntry(w io.Writer, e *Entry) (int64, error) {
 		NumPCs:     len(e.Profile.PCs),
 		TableLen:   len(e.Table.Latency),
 		NumWarps:   len(e.WarpProfiles),
-	}, e.Profile, e.Table, body)
+	}, e.Profile, e.Table, body), nil
 }
 
-// writeEntry frames one entry: magic, version, hdr, the profile and
+// frameEntry encodes one entry: magic, version, hdr, the profile and
 // table sections, the given warp profiles, and the checksum trailer.
-func writeEntry(w io.Writer, hdr entryHeader, prof *cache.Profile, table *interval.PCTable, warps []*interval.Profile) (int64, error) {
-	h := sha256.New()
-	cw := &countingWriter{w: io.MultiWriter(w, h)}
-	bw := bufio.NewWriter(cw)
-
-	if _, err := bw.Write(magic[:]); err != nil {
-		return 0, err
-	}
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], formatVersion)
-	if _, err := bw.Write(ver[:]); err != nil {
-		return 0, err
-	}
-
-	var hb bytes.Buffer
-	if err := gob.NewEncoder(&hb).Encode(&hdr); err != nil {
-		return 0, fmt.Errorf("store: encoding header: %w", err)
-	}
-	putUvarint(bw, uint64(hb.Len()))
-	if _, err := bw.Write(hb.Bytes()); err != nil {
-		return 0, err
-	}
-
-	encodeProfile(bw, prof)
-	encodeTable(bw, table)
+func frameEntry(hdr *entryHeader, prof *cache.Profile, table *interval.PCTable, warps []*interval.Profile) []byte {
+	b := append([]byte(nil), magic[:]...)
+	b = binary.LittleEndian.AppendUint16(b, formatVersion)
+	b = appendHeader(b, hdr)
+	b = appendProfile(b, prof)
+	b = appendTable(b, table)
 	for _, p := range warps {
-		encodeWarpProfile(bw, p)
+		b = appendWarpProfile(b, p)
 	}
-	if err := bw.Flush(); err != nil {
-		return 0, err
-	}
-	// Trailer: the digest of everything flushed so far.
-	if _, err := w.Write(h.Sum(nil)); err != nil {
-		return 0, err
-	}
-	return cw.n + sha256.Size, nil
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
 }
 
-// decodeEntry reads one entry from r in a single streaming pass,
-// verifying the checksum trailer and rejecting trailing data. The
-// returned count is the file size. A trailerReader withholds the final
-// 32 bytes from the payload stream so the SHA-256 tee digests exactly
-// the bytes the encoder digested, bufio read-ahead included.
-func decodeEntry(r io.Reader) (*Entry, int64, error) {
-	h := sha256.New()
-	cr := &countingReader{r: r}
-	tr := newTrailerReader(cr)
-	br := bufio.NewReader(io.TeeReader(tr, h))
-
-	var mg [4]byte
-	if _, err := io.ReadFull(br, mg[:]); err != nil {
-		return nil, 0, fmt.Errorf("store: reading magic: %w", err)
+// decodeEntry decodes one whole entry file. It checks the trailer
+// before parsing any byte and rejects trailing data.
+func decodeEntry(b []byte) (*Entry, error) {
+	const frame = len(magic) + 2
+	if len(b) < frame+sha256.Size {
+		return nil, fmt.Errorf("store: %d-byte entry is shorter than its frame", len(b))
 	}
-	if mg != magic {
-		return nil, 0, fmt.Errorf("store: bad magic %q", mg[:])
+	payload := b[:len(b)-sha256.Size]
+	if sha256.Sum256(payload) != [sha256.Size]byte(b[len(payload):]) {
+		return nil, errors.New("store: checksum mismatch")
 	}
-	var ver [2]byte
-	if _, err := io.ReadFull(br, ver[:]); err != nil {
-		return nil, 0, fmt.Errorf("store: reading version: %w", err)
+	if [len(magic)]byte(payload) != magic {
+		return nil, fmt.Errorf("store: bad magic %q", payload[:len(magic)])
 	}
-	if v := binary.LittleEndian.Uint16(ver[:]); v != formatVersion {
-		return nil, 0, fmt.Errorf("store: unsupported version %d (want %d)", v, formatVersion)
+	if v := binary.LittleEndian.Uint16(payload[len(magic):]); v != formatVersion {
+		return nil, fmt.Errorf("store: unsupported version %d (want %d)", v, formatVersion)
 	}
 
-	hlen, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: reading header length: %w", err)
-	}
-	if hlen > maxSectionItems {
-		return nil, 0, fmt.Errorf("store: header length %d too large", hlen)
-	}
-	hb := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hb); err != nil {
-		return nil, 0, fmt.Errorf("store: reading header: %w", err)
-	}
+	c := &cursor{b: payload[frame:]}
 	var hdr entryHeader
-	if err := gob.NewDecoder(bytes.NewReader(hb)).Decode(&hdr); err != nil {
-		return nil, 0, fmt.Errorf("store: decoding header: %w", err)
+	c.header(&hdr)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if hdr.NumPCs < 0 || hdr.NumPCs > maxSectionItems ||
-		hdr.TableLen < 0 || hdr.TableLen > maxSectionItems ||
-		hdr.NumWarps < 0 || hdr.NumWarps > maxSectionItems {
-		return nil, 0, fmt.Errorf("store: header counts out of range")
-	}
-
 	e := &Entry{
 		Key:        hdr.Key,
 		Warps:      hdr.Warps,
@@ -190,316 +154,300 @@ func decodeEntry(r io.Reader) (*Entry, int64, error) {
 	reps := e.reps()
 	for _, r := range reps {
 		if r < 0 || r >= hdr.NumWarps {
-			return nil, 0, fmt.Errorf("store: representative %d out of range (%d warps)", r, hdr.NumWarps)
+			return nil, fmt.Errorf("store: representative %d out of range (%d warps)", r, hdr.NumWarps)
 		}
 	}
-	if e.Profile, err = decodeProfile(br, hdr.Cfg, hdr.NumPCs); err != nil {
-		return nil, 0, err
+	e.Profile = c.profile(hdr.Cfg, hdr.NumPCs)
+	e.Table = c.table(hdr.TableLen)
+	profs := make([]interval.Profile, len(reps))
+	for i := range profs {
+		c.warpProfile(&profs[i])
 	}
-	if e.Table, err = decodeTable(br, hdr.TableLen); err != nil {
-		return nil, 0, err
+	if c.err != nil {
+		return nil, c.err
+	}
+	if len(c.b) != 0 {
+		return nil, fmt.Errorf("store: %d bytes of trailing data after the body", len(c.b))
 	}
 	e.WarpProfiles = make([]*interval.Profile, hdr.NumWarps)
-	for _, r := range reps {
-		if e.WarpProfiles[r], err = decodeWarpProfile(br); err != nil {
-			return nil, 0, fmt.Errorf("store: warp profile %d: %w", r, err)
-		}
+	for i, r := range reps {
+		e.WarpProfiles[r] = &profs[i]
 	}
-
-	// The body must end exactly where the trailer begins: one more
-	// payload byte means trailing garbage. Reading it also drives the
-	// trailerReader to the underlying EOF, finalizing the withheld
-	// trailer bytes.
-	if _, err := br.ReadByte(); err == nil {
-		return nil, 0, errors.New("store: trailing data after entry")
-	} else if err != io.EOF {
-		return nil, 0, fmt.Errorf("store: draining entry: %w", err)
-	}
-	got, err := tr.Trailer()
-	if err != nil {
-		return nil, 0, err
-	}
-	if !bytes.Equal(h.Sum(nil), got) {
-		return nil, 0, errors.New("store: checksum mismatch")
-	}
-	return e, cr.n, nil
+	return e, nil
 }
 
-// trailerReader exposes all but the final sha256.Size bytes of its
-// underlying reader as the payload stream. The withheld suffix becomes
-// available from Trailer once Read has returned io.EOF. A source
-// shorter than the trailer fails the very first Read.
-type trailerReader struct {
-	r    io.Reader
-	tail []byte
-	buf  []byte
-	eof  bool
-}
+// --- header ---
 
-func newTrailerReader(r io.Reader) *trailerReader {
-	return &trailerReader{r: r, buf: make([]byte, 32*1024)}
-}
-
-func (t *trailerReader) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
+func appendHeader(b []byte, h *entryHeader) []byte {
+	k, p, c := &h.Key, &h.Key.Profile, &h.Cfg
+	b = binary.AppendUvarint(b, uint64(len(k.Kernel)))
+	b = append(b, k.Kernel...)
+	b = appendInts(b, k.Blocks)
+	b = binary.AppendVarint(b, k.Seed)
+	b = appendInts(b, k.Line,
+		p.Cores, p.L1SizeBytes, p.L1LineBytes, p.L1Assoc, p.L1Latency,
+		p.L2SizeBytes, p.L2LineBytes, p.L2Assoc, p.L2Latency, p.DRAMLatency,
+		k.ALULatency, k.FPLatency, k.SFULatency, k.SMemLatency, k.IssueWidth,
+		h.Warps)
+	b = binary.AppendVarint(b, h.TotalInsts)
+	b = appendInts(b, c.Cores, c.SIMTWidth, c.WarpSize, c.MaxThreadsPerCore,
+		c.WarpsPerCore, c.IssueWidth)
+	b = appendFloat(b, c.ClockGHz)
+	b = appendInts(b, c.ALULatency, c.FPLatency, c.SFULatency, c.SMemLatency,
+		c.L1SizeBytes, c.L1LineBytes, c.L1Assoc, c.L1Latency,
+		c.L2SizeBytes, c.L2LineBytes, c.L2Assoc, c.L2Latency, c.MSHREntries)
+	b = appendFloat(b, c.DRAMBandwidthGBps)
+	b = appendInts(b, c.DRAMLatency, c.DRAMQueueDepth, c.SFUPerCore,
+		h.Rep, h.MaxRep, h.MinRep)
+	for _, n := range []int{h.NumPCs, h.TableLen, h.NumWarps} {
+		b = binary.AppendUvarint(b, uint64(n))
 	}
-	for {
-		if len(t.tail) > sha256.Size {
-			n := len(t.tail) - sha256.Size
-			if n > len(p) {
-				n = len(p)
-			}
-			copy(p, t.tail[:n])
-			t.tail = append(t.tail[:0], t.tail[n:]...)
-			return n, nil
-		}
-		if t.eof {
-			if len(t.tail) < sha256.Size {
-				return 0, fmt.Errorf("store: entry shorter than its checksum trailer: %w", io.ErrUnexpectedEOF)
-			}
-			return 0, io.EOF
-		}
-		n, err := t.r.Read(t.buf)
-		if n > 0 {
-			t.tail = append(t.tail, t.buf[:n]...)
-		}
-		if err == io.EOF {
-			t.eof = true
-		} else if err != nil {
-			return 0, err
-		}
+	return b
+}
+
+// header decodes what appendHeader writes, field for field.
+func (c *cursor) header(h *entryHeader) {
+	k, p, cf := &h.Key, &h.Key.Profile, &h.Cfg
+	k.Kernel = string(c.bytes(c.count(1)))
+	c.ints(&k.Blocks)
+	k.Seed = c.varint()
+	c.ints(&k.Line,
+		&p.Cores, &p.L1SizeBytes, &p.L1LineBytes, &p.L1Assoc, &p.L1Latency,
+		&p.L2SizeBytes, &p.L2LineBytes, &p.L2Assoc, &p.L2Latency, &p.DRAMLatency,
+		&k.ALULatency, &k.FPLatency, &k.SFULatency, &k.SMemLatency, &k.IssueWidth,
+		&h.Warps)
+	h.TotalInsts = c.varint()
+	c.ints(&cf.Cores, &cf.SIMTWidth, &cf.WarpSize, &cf.MaxThreadsPerCore,
+		&cf.WarpsPerCore, &cf.IssueWidth)
+	cf.ClockGHz = c.float()
+	c.ints(&cf.ALULatency, &cf.FPLatency, &cf.SFULatency, &cf.SMemLatency,
+		&cf.L1SizeBytes, &cf.L1LineBytes, &cf.L1Assoc, &cf.L1Latency,
+		&cf.L2SizeBytes, &cf.L2LineBytes, &cf.L2Assoc, &cf.L2Latency, &cf.MSHREntries)
+	cf.DRAMBandwidthGBps = c.float()
+	c.ints(&cf.DRAMLatency, &cf.DRAMQueueDepth, &cf.SFUPerCore,
+		&h.Rep, &h.MaxRep, &h.MinRep)
+	h.NumPCs = c.count(pcStatBytes)
+	h.TableLen = c.count(tableRowBytes)
+	if n := c.uvarint(); n > maxWarps {
+		c.fail("%d warps exceed the format's %d", n, maxWarps)
+	} else {
+		h.NumWarps = int(n)
 	}
 }
 
-// Trailer returns the withheld checksum suffix; valid only after the
-// payload stream has been fully drained to io.EOF.
-func (t *trailerReader) Trailer() ([]byte, error) {
-	if !t.eof || len(t.tail) != sha256.Size {
-		return nil, errors.New("store: trailer unavailable before EOF")
-	}
-	return t.tail, nil
-}
+// --- body sections ---
 
-// --- section codecs ---
-
-func encodeProfile(bw *bufio.Writer, p *cache.Profile) {
+func appendProfile(b []byte, p *cache.Profile) []byte {
 	for _, pc := range p.SortedPCs() {
 		s := p.PCs[pc]
-		putUvarint(bw, uint64(pc))
-		b := byte(0)
+		b = binary.AppendUvarint(b, uint64(pc))
+		flag := byte(0)
 		if s.IsStore {
-			b = 1
+			flag = 1
 		}
-		bw.WriteByte(b)
-		putUvarint(bw, uint64(s.Insts))
-		putUvarint(bw, uint64(s.Reqs))
-		putUvarint(bw, uint64(s.L1HitInsts))
-		putUvarint(bw, uint64(s.L2HitInsts))
-		putUvarint(bw, uint64(s.L2MissInsts))
-		putUvarint(bw, uint64(s.L1HitReqs))
-		putUvarint(bw, uint64(s.L2HitReqs))
-		putUvarint(bw, uint64(s.L2MissReqs))
+		b = append(b, flag)
+		for _, v := range [...]int64{s.Insts, s.Reqs, s.L1HitInsts, s.L2HitInsts,
+			s.L2MissInsts, s.L1HitReqs, s.L2HitReqs, s.L2MissReqs} {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
 	}
+	return b
 }
 
-func decodeProfile(br *bufio.Reader, cfg config.Config, numPCs int) (*cache.Profile, error) {
-	p := &cache.Profile{Cfg: cfg, PCs: make(map[int]*cache.PCStats, numPCs)}
-	for i := 0; i < numPCs; i++ {
-		pc, err := getUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("store: profile pc: %w", err)
+func (c *cursor) profile(cfg config.Config, n int) *cache.Profile {
+	p := &cache.Profile{Cfg: cfg, PCs: make(map[int]*cache.PCStats, n)}
+	stats := make([]cache.PCStats, n)
+	last := 0
+	for i := range stats {
+		pc := int(c.uvarint())
+		if i > 0 && pc <= last {
+			c.fail("profile PCs not strictly ascending at %d", pc)
 		}
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("store: profile flags: %w", err)
+		last = pc
+		s := &stats[i]
+		switch c.byte() {
+		case 0:
+		case 1:
+			s.IsStore = true
+		default:
+			c.fail("bad store flag")
 		}
-		s := &cache.PCStats{IsStore: b == 1}
-		for _, dst := range []*int64{&s.Insts, &s.Reqs, &s.L1HitInsts, &s.L2HitInsts,
+		for _, dst := range [...]*int64{&s.Insts, &s.Reqs, &s.L1HitInsts, &s.L2HitInsts,
 			&s.L2MissInsts, &s.L1HitReqs, &s.L2HitReqs, &s.L2MissReqs} {
-			v, err := getUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("store: profile stats: %w", err)
-			}
-			*dst = int64(v)
+			*dst = int64(c.uvarint())
 		}
-		if _, dup := p.PCs[int(pc)]; dup {
-			return nil, fmt.Errorf("store: duplicate profile pc %d", pc)
+		if c.err != nil {
+			return nil
 		}
-		p.PCs[int(pc)] = s
+		p.PCs[pc] = s
 	}
-	return p, nil
+	return p
 }
 
-func encodeTable(bw *bufio.Writer, t *interval.PCTable) {
-	for _, col := range [][]float64{t.Latency, t.L1MissRate, t.L2MissRate, t.DistL1, t.DistL2, t.DistDRAM} {
+func appendTable(b []byte, t *interval.PCTable) []byte {
+	for _, col := range [...][]float64{t.Latency, t.L1MissRate, t.L2MissRate, t.DistL1, t.DistL2, t.DistDRAM} {
 		for _, v := range col {
-			putFloat(bw, v)
+			b = appendFloat(b, v)
 		}
 	}
-	putFloat(bw, t.MergeWindow)
+	return appendFloat(b, t.MergeWindow)
 }
 
-func decodeTable(br *bufio.Reader, n int) (*interval.PCTable, error) {
-	t := &interval.PCTable{}
-	for _, col := range []*[]float64{&t.Latency, &t.L1MissRate, &t.L2MissRate, &t.DistL1, &t.DistL2, &t.DistDRAM} {
-		*col = make([]float64, n)
-		for i := range *col {
-			v, err := getFloat(br)
-			if err != nil {
-				return nil, fmt.Errorf("store: pc table: %w", err)
-			}
-			(*col)[i] = v
-		}
+func (c *cursor) table(n int) *interval.PCTable {
+	all := make([]float64, 6*n)
+	c.floats(all)
+	t := &interval.PCTable{MergeWindow: c.float()}
+	for i, col := range [...]*[]float64{&t.Latency, &t.L1MissRate, &t.L2MissRate, &t.DistL1, &t.DistL2, &t.DistDRAM} {
+		*col = all[i*n : (i+1)*n : (i+1)*n]
 	}
-	var err error
-	if t.MergeWindow, err = getFloat(br); err != nil {
-		return nil, fmt.Errorf("store: merge window: %w", err)
-	}
-	return t, nil
+	return t
 }
 
-func encodeWarpProfile(bw *bufio.Writer, p *interval.Profile) {
-	putUvarint(bw, uint64(p.Insts))
-	putFloat(bw, p.Stall)
-	putFloat(bw, p.IssueRate)
-	putUvarint(bw, uint64(len(p.Intervals)))
+func appendWarpProfile(b []byte, p *interval.Profile) []byte {
+	b = binary.AppendUvarint(b, uint64(p.Insts))
+	b = appendFloat(b, p.Stall)
+	b = appendFloat(b, p.IssueRate)
+	b = binary.AppendUvarint(b, uint64(len(p.Intervals)))
 	for i := range p.Intervals {
 		iv := &p.Intervals[i]
-		putUvarint(bw, uint64(iv.Insts))
-		putFloat(bw, iv.StallCycles)
-		putUvarint(bw, uint64(iv.MemInsts))
-		putFloat(bw, iv.MSHRReqs)
-		putFloat(bw, iv.DRAMReqs)
-		putFloat(bw, iv.MSHRLoadInsts)
-		putFloat(bw, iv.DRAMLoadInsts)
-		putUvarint(bw, uint64(iv.SFUInsts))
-		putVarint(bw, int64(iv.CausePC))
-		bw.WriteByte(byte(iv.CauseClass))
+		b = binary.AppendUvarint(b, uint64(iv.Insts))
+		b = appendFloat(b, iv.StallCycles)
+		b = binary.AppendUvarint(b, uint64(iv.MemInsts))
+		b = appendFloat(b, iv.MSHRReqs)
+		b = appendFloat(b, iv.DRAMReqs)
+		b = appendFloat(b, iv.MSHRLoadInsts)
+		b = appendFloat(b, iv.DRAMLoadInsts)
+		b = binary.AppendUvarint(b, uint64(iv.SFUInsts))
+		b = binary.AppendVarint(b, int64(iv.CausePC))
+		b = append(b, byte(iv.CauseClass))
 	}
+	return b
 }
 
-func decodeWarpProfile(br *bufio.Reader) (*interval.Profile, error) {
-	p := &interval.Profile{}
-	insts, err := getUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	p.Insts = int(insts)
-	if p.Stall, err = getFloat(br); err != nil {
-		return nil, err
-	}
-	if p.IssueRate, err = getFloat(br); err != nil {
-		return nil, err
-	}
-	n, err := getUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSectionItems {
-		return nil, fmt.Errorf("interval count %d too large", n)
+func (c *cursor) warpProfile(p *interval.Profile) {
+	p.Insts = int(c.uvarint())
+	p.Stall = c.float()
+	p.IssueRate = c.float()
+	n := c.count(intervalBytes)
+	if c.err != nil {
+		return
 	}
 	p.Intervals = make([]interval.Interval, n)
 	for i := range p.Intervals {
 		iv := &p.Intervals[i]
-		var u uint64
-		if u, err = getUvarint(br); err != nil {
-			return nil, err
-		}
-		iv.Insts = int(u)
-		if iv.StallCycles, err = getFloat(br); err != nil {
-			return nil, err
-		}
-		if u, err = getUvarint(br); err != nil {
-			return nil, err
-		}
-		iv.MemInsts = int(u)
-		if iv.MSHRReqs, err = getFloat(br); err != nil {
-			return nil, err
-		}
-		if iv.DRAMReqs, err = getFloat(br); err != nil {
-			return nil, err
-		}
-		if iv.MSHRLoadInsts, err = getFloat(br); err != nil {
-			return nil, err
-		}
-		if iv.DRAMLoadInsts, err = getFloat(br); err != nil {
-			return nil, err
-		}
-		if u, err = getUvarint(br); err != nil {
-			return nil, err
-		}
-		iv.SFUInsts = int(u)
-		var v int64
-		if v, err = getVarint(br); err != nil {
-			return nil, err
-		}
-		iv.CausePC = int(v)
-		cls, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		iv.CauseClass = isa.Class(cls)
+		iv.Insts = int(c.uvarint())
+		iv.StallCycles = c.float()
+		iv.MemInsts = int(c.uvarint())
+		iv.MSHRReqs = c.float()
+		iv.DRAMReqs = c.float()
+		iv.MSHRLoadInsts = c.float()
+		iv.DRAMLoadInsts = c.float()
+		iv.SFUInsts = int(c.uvarint())
+		iv.CausePC = int(c.varint())
+		iv.CauseClass = isa.Class(c.byte())
 	}
-	return p, nil
 }
 
 // --- primitives ---
 
-func putUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n])
-}
-
-func putVarint(bw *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	bw.Write(buf[:n])
-}
-
-func putFloat(bw *bufio.Writer, v float64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	bw.Write(buf[:])
-}
-
-func getUvarint(br *bufio.Reader) (uint64, error) {
-	return binary.ReadUvarint(br)
-}
-
-func getVarint(br *bufio.Reader) (int64, error) {
-	return binary.ReadVarint(br)
-}
-
-func getFloat(br *bufio.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return 0, err
+func appendInts(b []byte, vs ...int) []byte {
+	for _, v := range vs {
+		b = binary.AppendVarint(b, int64(v))
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
+	return b
 }
 
-// countingWriter counts bytes for the store's byte-total metrics.
-type countingWriter struct {
-	w io.Writer
-	n int64
+func appendFloat(b []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
+// cursor decodes from a byte slice. The first failure is kept in err
+// and empties the slice, so every later read fails too and returns a
+// zero value; a decoder checks err once where it must stop.
+type cursor struct {
+	b   []byte
+	err error
 }
 
-// countingReader counts bytes consumed from the underlying file.
-type countingReader struct {
-	r io.Reader
-	n int64
+func (c *cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("store: "+format, args...)
+	}
+	c.b = nil
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// uvarint reads a uvarint in its shortest form: a longer one ends in a
+// zero byte and would not re-encode to the same bytes.
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b)
+	if n <= 0 || n > 1 && c.b[n-1] == 0 {
+		c.fail("bad varint")
+		return 0
+	}
+	c.b = c.b[n:]
+	return v
+}
+
+func (c *cursor) varint() int64 {
+	u := c.uvarint()
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+func (c *cursor) ints(dst ...*int) {
+	for _, d := range dst {
+		*d = int(c.varint())
+	}
+}
+
+func (c *cursor) float() float64 {
+	b := c.bytes(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// floats fills dst from consecutive raw floats.
+func (c *cursor) floats(dst []float64) {
+	src := c.bytes(8 * len(dst))
+	if len(src) != 8*len(dst) {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+}
+
+func (c *cursor) byte() byte {
+	b := c.bytes(1)
+	if b == nil {
+		return 0
+	}
+	return b[0]
+}
+
+// bytes returns the next n bytes, or nil if fewer are left.
+func (c *cursor) bytes(n int) []byte {
+	if len(c.b) < n {
+		c.fail("%d bytes short", n-len(c.b))
+		return nil
+	}
+	v := c.b[:n]
+	c.b = c.b[n:]
+	return v
+}
+
+// count reads a count of items that encode to at least itemBytes bytes
+// each and rejects one the bytes left cannot hold.
+func (c *cursor) count(itemBytes int) int {
+	n := c.uvarint()
+	if n > uint64(len(c.b)/itemBytes) {
+		c.fail("count %d exceeds the %d bytes left", n, len(c.b))
+		return 0
+	}
+	return int(n)
 }

@@ -28,6 +28,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -197,10 +198,10 @@ func (s *Store) Path(k Key) string {
 }
 
 // Get looks k up. The second return is false on any miss: absent entry,
-// unreadable file, wrong magic, version skew, truncation, checksum
-// mismatch, or a header key that does not equal k. A store can
-// therefore never serve a wrong profile — every defect degrades to
-// "rebuild it".
+// unreadable file, a file over maxEntryBytes, wrong magic, version skew,
+// truncation, checksum mismatch, a malformed body, or a header key that
+// does not equal k. A store can therefore never serve a wrong profile —
+// every defect degrades to "rebuild it".
 func (s *Store) Get(k Key) (*Entry, bool) {
 	f, err := os.Open(s.Path(k))
 	if err != nil {
@@ -212,23 +213,39 @@ func (s *Store) Get(k Key) (*Entry, bool) {
 		}
 		return nil, false
 	}
-	defer f.Close()
-	e, n, err := decodeEntry(f)
-	if err != nil {
-		s.obs.Counter("store.corrupt").Inc()
-		s.obs.Counter("store.misses").Inc()
-		return nil, false
+	b, err := readEntryFile(f)
+	f.Close()
+	var e *Entry
+	if err == nil {
+		e, err = decodeEntry(b)
 	}
-	if e.Key != k {
-		// A file whose content was written for a different key (hash
-		// collision, copied file, tampering): a miss, never an alias.
+	// A file whose content was written for a different key (hash
+	// collision, copied file, tampering) is a miss, never an alias.
+	if err != nil || e.Key != k {
 		s.obs.Counter("store.corrupt").Inc()
 		s.obs.Counter("store.misses").Inc()
 		return nil, false
 	}
 	s.obs.Counter("store.hits").Inc()
-	s.obs.Counter("store.read_bytes").Add(n)
+	s.obs.Counter("store.read_bytes").Add(int64(len(b)))
 	return e, true
+}
+
+// readEntryFile reads f whole into one buffer of its exact size. A file
+// larger than maxEntryBytes is refused unread.
+func readEntryFile(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > maxEntryBytes {
+		return nil, fmt.Errorf("store: %d-byte entry exceeds the %d-byte cap", fi.Size(), maxEntryBytes)
+	}
+	b := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Put writes e under k atomically: the entry is fully written and
@@ -245,12 +262,17 @@ func (s *Store) Put(k Key, e *Entry) error {
 		s.obs.Counter("store.put_errors").Inc()
 		return err
 	}
+	b, err := encodeEntry(&slim)
+	if err != nil {
+		s.obs.Counter("store.put_errors").Inc()
+		return err
+	}
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
 		s.obs.Counter("store.put_errors").Inc()
 		return fmt.Errorf("store: %w", err)
 	}
-	n, err := encodeEntry(tmp, &slim)
+	_, err = tmp.Write(b)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -266,7 +288,7 @@ func (s *Store) Put(k Key, e *Entry) error {
 		return fmt.Errorf("store: writing %s: %w", k.Hash(), err)
 	}
 	s.obs.Counter("store.puts").Inc()
-	s.obs.Counter("store.write_bytes").Add(n)
+	s.obs.Counter("store.write_bytes").Add(int64(len(b)))
 	return nil
 }
 

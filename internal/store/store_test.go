@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -121,12 +122,110 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// defectCase is one damaged entry file: its bytes, and for a file over
+// the size cap the size it is extended to (sparsely) after writing.
+type defectCase struct {
+	name   string
+	data   []byte
+	sparse int64
+}
+
+// defectCases is every way the tests damage an entry for k on disk. The
+// cases with a recomputed checksum reach the parser, so a check past the
+// digest is what rejects them.
+func defectCases(t testing.TB, k Key) []defectCase {
+	t.Helper()
+	e := testEntry(k)
+	clean, err := encodeEntry(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := func() *entryHeader {
+		return &entryHeader{Key: k, Warps: 2, TotalInsts: 128, Cfg: e.Profile.Cfg,
+			Rep: 1, MaxRep: 1, MinRep: 0, NumPCs: len(e.Profile.PCs),
+			TableLen: len(e.Table.Latency), NumWarps: 2}
+	}
+	framed := func(h *entryHeader) []byte {
+		return frameEntry(h, e.Profile, e.Table, e.WarpProfiles)
+	}
+	n := len(clean) - sha256.Size
+	payload := clean[:n:n] // an append copies, leaving clean intact
+
+	versionSkewed := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint16(versionSkewed[4:6], formatVersion+1) // a version from the future
+
+	// A header naming a representative past the last warp.
+	badRep := hdr()
+	badRep.MinRep = 2
+
+	// Counts far past what the bytes hold: each would have sized an
+	// allocation before the parser noticed the body was too short.
+	manyPCs, longTable, manyWarps := hdr(), hdr(), hdr()
+	manyPCs.NumPCs = 1 << 26
+	longTable.TableLen = 1 << 22
+	manyWarps.NumWarps = maxWarps + 1
+
+	// Warp 1's profile ends the body; with no intervals its interval
+	// count, 0, is the payload's last byte.
+	manyIntervals := func() []byte {
+		noIvs := testEntry(k)
+		noIvs.WarpProfiles[1].Intervals = nil
+		b, err := encodeEntry(noIvs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := b[:len(b)-sha256.Size]
+		if payload[len(payload)-1] != 0 {
+			t.Fatal("the payload does not end in warp 1's interval count")
+		}
+		return reseal(binary.AppendUvarint(payload[:len(payload)-1:len(payload)-1], 1<<22))
+	}()
+
+	return []defectCase{
+		{name: "empty file"},
+		{name: "shorter than trailer", data: clean[:10]},
+		{name: "truncated mid-header", data: clean[:40]},
+		{name: "truncated mid-body", data: clean[:len(clean)/2]},
+		{name: "missing last byte", data: clean[:len(clean)-1]},
+		{name: "bad magic", data: append([]byte("JUNK"), clean[4:]...)},
+		{name: "version skew", data: reseal(versionSkewed)},
+		{name: "representative out of range", data: framed(badRep)},
+		{name: "flipped payload bit", data: flip(clean, 8)},
+		{name: "flipped body bit", data: flip(clean, len(clean)/2)},
+		{name: "flipped checksum bit", data: flip(clean, len(clean)-1)},
+		{name: "trailing garbage", data: append(append([]byte(nil), clean...), 0xEE)},
+		{name: "trailing garbage under a valid checksum", data: reseal(append(payload, 0xEE))},
+		{name: "entry for a different key", data: func() []byte {
+			other := KeyFor("other_kernel", 8, 42, 128, config.Baseline())
+			b, err := encodeEntry(testEntry(other))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}()},
+		{name: "inflated NumPCs", data: framed(manyPCs)},
+		{name: "inflated TableLen", data: framed(longTable)},
+		{name: "NumWarps over the cap", data: framed(manyWarps)},
+		{name: "inflated interval count", data: manyIntervals},
+		{name: "over the size cap", data: clean, sparse: maxEntryBytes + 1},
+	}
+}
+
+// reseal frames payload, an entry without its trailer, with a fresh
+// checksum.
+func reseal(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(append([]byte(nil), payload...), sum[:]...)
+}
+
 // TestStoreDefectsDegradeToMiss is the crash-safety table: every way an
 // entry can be damaged on disk — truncation anywhere, a bad magic, a
 // flipped payload or checksum bit, a version from the future, trailing
-// garbage, or a file written for a different key — must read as a miss,
-// and a rebuild must restore the exact original bytes. The store can be
-// slow after a defect; it can never be wrong.
+// garbage, counts past what the file holds, a file over the size cap,
+// or a file written for a different key — must read as a miss without
+// allocating for the damage, and a rebuild must restore the exact
+// original bytes. The store can be slow after a defect; it can never be
+// wrong.
 func TestStoreDefectsDegradeToMiss(t *testing.T) {
 	k := testKey()
 	clean := func() []byte {
@@ -134,58 +233,26 @@ func TestStoreDefectsDegradeToMiss(t *testing.T) {
 		return mustPut(t, s, k, testEntry(k))
 	}()
 
-	versionSkewed := append([]byte(nil), clean...)
-	binary.LittleEndian.PutUint16(versionSkewed[4:6], formatVersion+1) // a version from the future
-	// Recompute the trailer so the version field, not the checksum, is
-	// what the reader rejects.
-	sum := sha256.Sum256(versionSkewed[:len(versionSkewed)-sha256.Size])
-	copy(versionSkewed[len(versionSkewed)-sha256.Size:], sum[:])
-
-	// A header naming a representative past the last warp, framed with
-	// a valid checksum so the range check, not the digest, rejects it.
-	badRep := func() []byte {
-		e := testEntry(k)
-		var buf bytes.Buffer
-		if _, err := writeEntry(&buf, entryHeader{Key: k, Warps: 2, TotalInsts: 128,
-			Cfg: e.Profile.Cfg, Rep: 1, MaxRep: 1, MinRep: 2, NumPCs: len(e.Profile.PCs),
-			TableLen: len(e.Table.Latency), NumWarps: 2}, e.Profile, e.Table, e.WarpProfiles); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}()
-
-	badKeyFile := func() []byte {
-		s, _ := openTestStore(t)
-		other := KeyFor("other_kernel", 8, 42, 128, config.Baseline())
-		return mustPut(t, s, other, testEntry(other))
-	}()
-
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty file", nil},
-		{"shorter than trailer", clean[:10]},
-		{"truncated mid-header", clean[:40]},
-		{"truncated mid-body", clean[:len(clean)/2]},
-		{"missing last byte", clean[:len(clean)-1]},
-		{"bad magic", append([]byte("JUNK"), clean[4:]...)},
-		{"version skew", versionSkewed},
-		{"representative out of range", badRep},
-		{"flipped payload bit", flip(clean, 8)},
-		{"flipped body bit", flip(clean, len(clean)/2)},
-		{"flipped checksum bit", flip(clean, len(clean)-1)},
-		{"trailing garbage", append(append([]byte(nil), clean...), 0xEE)},
-		{"entry for a different key", badKeyFile},
-	}
-	for _, tc := range cases {
+	for _, tc := range defectCases(t, k) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, reg := openTestStore(t)
 			if err := os.WriteFile(s.Path(k), tc.data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if e, ok := s.Get(k); ok {
+			if tc.sparse > 0 {
+				if err := os.Truncate(s.Path(k), tc.sparse); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e, ok := s.Get(k)
+			runtime.ReadMemStats(&after)
+			if ok {
 				t.Fatalf("Get returned an entry (%d warps) from a damaged file", e.Warps)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("Get allocated %d bytes before missing, want under 1 MiB", d)
 			}
 			if c := reg.Counter("store.corrupt").Value(); c != 1 {
 				t.Errorf("store.corrupt = %d, want 1", c)
@@ -300,11 +367,11 @@ func TestStoreTruncationSweep(t *testing.T) {
 	s, _ := openTestStore(t)
 	clean := mustPut(t, s, k, testEntry(k))
 	for n := 0; n < len(clean); n++ {
-		if _, _, err := decodeEntry(bytes.NewReader(clean[:n])); err == nil {
+		if _, err := decodeEntry(clean[:n]); err == nil {
 			t.Fatalf("decodeEntry accepted a %d-byte prefix of a %d-byte entry", n, len(clean))
 		}
 	}
-	if _, _, err := decodeEntry(bytes.NewReader(clean)); err != nil {
+	if _, err := decodeEntry(clean); err != nil {
 		t.Fatalf("decodeEntry rejected the full entry: %v", err)
 	}
 }
