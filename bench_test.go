@@ -265,29 +265,40 @@ func BenchmarkModelFull(b *testing.B) {
 // BenchmarkTimingSimulator measures the detailed oracle's throughput in
 // simulated warp-instructions per second (Minst/s) on a compute-bound,
 // a barrier-phased and a memory-divergent kernel, under both scheduling
-// policies.
+// policies, and on sdk_reduction at its default grid with 48 warps per
+// core under GTO: the heaviest GTO point of the benchmark's
+// validate_oracle workload, where each full scan checks the most warps.
 func BenchmarkTimingSimulator(b *testing.B) {
 	cfg := config.Baseline()
+	simulate := func(b *testing.B, tr *trace.Kernel, cfg config.Config, pol timing.Policy) {
+		var insts int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, err := timing.Simulate(tr, cfg, pol)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts += r.Insts
+		}
+		b.ReportMetric(float64(insts)/1e6/b.Elapsed().Seconds(), "Minst/s")
+	}
 	for _, name := range []string{"parboil_stencil", "rodinia_hotspot", "micro_pointer_chase"} {
 		b.Run(name, func(b *testing.B) {
 			tr := benchKernelTrace(b, name, 128)
 			for _, pol := range []timing.Policy{timing.RR, timing.GTO} {
-				b.Run(pol.String(), func(b *testing.B) {
-					var insts int64
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						r, err := timing.Simulate(tr, cfg, pol)
-						if err != nil {
-							b.Fatal(err)
-						}
-						insts += r.Insts
-					}
-					b.ReportMetric(float64(insts)/1e6/b.Elapsed().Seconds(), "Minst/s")
-				})
+				b.Run(pol.String(), func(b *testing.B) { simulate(b, tr, cfg, pol) })
 			}
 		})
 	}
+	b.Run("sdk_reduction/warps48/GTO", func(b *testing.B) {
+		info, err := kernels.Get("sdk_reduction")
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := benchKernelTrace(b, "sdk_reduction", kernels.DefaultBlocks(info.WarpsPerBlock))
+		simulate(b, tr, cfg.WithWarps(48), timing.GTO)
+	})
 }
 
 // ---- parallel-vs-sequential benchmarks -------------------------------------

@@ -1,6 +1,6 @@
 package config
 
-import "fmt"
+import "strconv"
 
 // ProfileKey is the canonical identity of a configuration's cache-geometry
 // subset: the fields that determine the memory-side profile of a kernel
@@ -30,11 +30,31 @@ type ProfileKey struct {
 // when their strings are equal, so the rendering is a faithful display
 // identity for deduplicating requests in observability output.
 func (k ProfileKey) String() string {
-	return fmt.Sprintf("c%d-L1:%d/%d/%d@%d-L2:%d/%d/%d@%d-dram@%d",
-		k.Cores,
-		k.L1SizeBytes, k.L1LineBytes, k.L1Assoc, k.L1Latency,
-		k.L2SizeBytes, k.L2LineBytes, k.L2Assoc, k.L2Latency,
-		k.DRAMLatency)
+	return string(k.Append(make([]byte, 0, 64)))
+}
+
+// Append appends the String rendering of k to b, for callers that embed
+// it in a longer string without an intermediate allocation.
+func (k ProfileKey) Append(b []byte) []byte {
+	b = append(b, 'c')
+	b = strconv.AppendInt(b, int64(k.Cores), 10)
+	b = append(b, "-L1:"...)
+	b = appendGeometry(b, k.L1SizeBytes, k.L1LineBytes, k.L1Assoc, k.L1Latency)
+	b = append(b, "-L2:"...)
+	b = appendGeometry(b, k.L2SizeBytes, k.L2LineBytes, k.L2Assoc, k.L2Latency)
+	b = append(b, "-dram@"...)
+	return strconv.AppendInt(b, int64(k.DRAMLatency), 10)
+}
+
+// appendGeometry appends one cache level as size/line/assoc@latency.
+func appendGeometry(b []byte, size, line, assoc, latency int) []byte {
+	b = strconv.AppendInt(b, int64(size), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(line), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(assoc), 10)
+	b = append(b, '@')
+	return strconv.AppendInt(b, int64(latency), 10)
 }
 
 // ProfileKey derives the canonical cache-geometry key of c.

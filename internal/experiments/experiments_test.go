@@ -147,30 +147,53 @@ func TestFigureIDsMatchBuilders(t *testing.T) {
 // a figure run: every point of Figs. 11-15 on a kernel shares one prep
 // key, so each kernel's warps go through the interval algorithm once and
 // its cache is simulated once, however many points and workers there
-// are. (The Section VI-D timing build runs without the observer.)
+// are. (The Section VI-D timing build runs without the observer.) The
+// ablation builds each of its kernels' prep twice: the memo entry, which
+// the variants that keep the merge window read, and one build without
+// the merge window, shared by the two variants that drop it. The SFU
+// study reads each kernel's memo entry at every lane count, since
+// SFUPerCore acts only after prep.
 func TestPrepBuiltOncePerKernel(t *testing.T) {
-	names := []string{"sdk_vectoradd", "rodinia_cfd_compute_flux"}
 	const blocks = 64
-	warps := 0
-	for _, name := range names {
-		info, err := kernels.Get(name)
-		if err != nil {
-			t.Fatal(err)
+	warpsOf := func(names ...string) int {
+		warps := 0
+		for _, name := range names {
+			info, err := kernels.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warps += blocks * info.WarpsPerBlock
 		}
-		warps += blocks * info.WarpsPerBlock
+		return warps
 	}
-	for _, workers := range []int{1, 2} {
-		reg := obs.NewRegistry()
-		e := NewEvaluator(Options{Kernels: names, Blocks: blocks, Quick: true, Workers: workers,
-			Obs: obs.NewObserver(reg, nil)})
-		if _, err := e.Run([]string{"fig11", "fig12", "fig13", "fig14", "fig15"}); err != nil {
-			t.Fatal(err)
-		}
-		if n := reg.Counter("interval.warps_profiled").Value(); n != int64(warps) {
-			t.Errorf("workers=%d: interval.warps_profiled = %d, want %d (each warp once)", workers, n, warps)
-		}
-		if n := reg.Counter("cache.profile.memo_misses").Value(); n != int64(len(names)) {
-			t.Errorf("workers=%d: cache.profile.memo_misses = %d, want %d (one per kernel)", workers, n, len(names))
+	names := []string{"sdk_vectoradd", "rodinia_cfd_compute_flux"}
+	// The studies trace their own kernels; cfd is in neither list, so the
+	// baseline pass over the evaluator's kernel set adds one build of it.
+	cfd := []string{"rodinia_cfd_compute_flux"}
+	cases := []struct {
+		figs     []string
+		kernels  []string
+		warps    int // interval.warps_profiled
+		profiles int // cache.profile.memo_misses
+	}{
+		{[]string{"fig11", "fig12", "fig13", "fig14", "fig15"}, names, warpsOf(names...), len(names)},
+		{[]string{"ablation"}, cfd, warpsOf(cfd...) + 2*warpsOf(ablationKernels...), 1 + len(ablationKernels)},
+		{[]string{"sfu"}, cfd, warpsOf(cfd...) + warpsOf(sfuKernels...), 1 + len(sfuKernels)},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			reg := obs.NewRegistry()
+			e := NewEvaluator(Options{Kernels: tc.kernels, Blocks: blocks, Quick: true, Workers: workers,
+				Obs: obs.NewObserver(reg, nil)})
+			if _, err := e.Run(tc.figs); err != nil {
+				t.Fatal(err)
+			}
+			if n := reg.Counter("interval.warps_profiled").Value(); n != int64(tc.warps) {
+				t.Errorf("%v workers=%d: interval.warps_profiled = %d, want %d", tc.figs, workers, n, tc.warps)
+			}
+			if n := reg.Counter("cache.profile.memo_misses").Value(); n != int64(tc.profiles) {
+				t.Errorf("%v workers=%d: cache.profile.memo_misses = %d, want %d (one per kernel)", tc.figs, workers, n, tc.profiles)
+			}
 		}
 	}
 }

@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpumech/internal/config"
@@ -74,11 +77,12 @@ func diffFields(t *testing.T, path string, got, want reflect.Value) {
 	}
 }
 
-// maxGetAllocs pins the allocations of one Get of the fixed testEntry, a
-// little above the 30 it makes (33 under -race): the content address,
-// the file handle, the read buffer and the decoded entry. Format version
-// 2 made 518, most of them compiling its gob header's types.
-const maxGetAllocs = 34
+// maxGetAllocs pins the allocations of one Get of the fixed testEntry,
+// one above the 21 it makes (with or without -race): the content
+// address, the file handle, the read buffer and the decoded entry.
+// Format version 2 made 518, most of them compiling its gob header's
+// types.
+const maxGetAllocs = 22
 
 // TestStoreGetAllocs gates the read path's allocation count.
 func TestStoreGetAllocs(t *testing.T) {
@@ -92,6 +96,58 @@ func TestStoreGetAllocs(t *testing.T) {
 	})
 	if allocs > maxGetAllocs {
 		t.Errorf("Get made %.0f allocations, want at most %d", allocs, maxGetAllocs)
+	}
+}
+
+// TestKeyCanonicalMatchesFmt pins the strconv rendering of the content
+// address against the fmt.Sprintf rendering it replaced, byte for byte,
+// so no stored entry changes its file name.
+func TestKeyCanonicalMatchesFmt(t *testing.T) {
+	fmtProfile := func(k config.ProfileKey) string {
+		return fmt.Sprintf("c%d-L1:%d/%d/%d@%d-L2:%d/%d/%d@%d-dram@%d",
+			k.Cores,
+			k.L1SizeBytes, k.L1LineBytes, k.L1Assoc, k.L1Latency,
+			k.L2SizeBytes, k.L2LineBytes, k.L2Assoc, k.L2Latency,
+			k.DRAMLatency)
+	}
+	fmtKey := func(k Key) string {
+		return fmt.Sprintf("v%d|kernel=%s|blocks=%d|seed=%d|line=%d|profile=%s|alu=%d|fp=%d|sfu=%d|smem=%d|issue=%d",
+			formatVersion, k.Kernel, k.Blocks, k.Seed, k.Line, fmtProfile(k.Profile),
+			k.ALULatency, k.FPLatency, k.SFULatency, k.SMemLatency, k.IssueWidth)
+	}
+	base := testKey()
+	every := Key{Kernel: "k", Blocks: 1, Seed: 2, Line: 3,
+		Profile: config.ProfileKey{Cores: 4, L1SizeBytes: 5, L1LineBytes: 6, L1Assoc: 7, L1Latency: 8,
+			L2SizeBytes: 9, L2LineBytes: 10, L2Assoc: 11, L2Latency: 12, DRAMLatency: 13},
+		ALULatency: 14, FPLatency: 15, SFULatency: 16, SMemLatency: 17, IssueWidth: 18}
+	extreme := Key{Kernel: "x", Blocks: math.MaxInt, Seed: math.MinInt64, Line: math.MinInt,
+		Profile:    config.ProfileKey{Cores: math.MinInt, L1SizeBytes: math.MaxInt, L2LineBytes: -1, DRAMLatency: math.MaxInt},
+		ALULatency: math.MinInt, IssueWidth: math.MaxInt}
+	long := base
+	long.Kernel = strings.Repeat("long_kernel_name_", 40) // past Hash's stack buffer
+	keys := []Key{base, every, extreme, long, {}}
+	for _, name := range []string{"", "ядро_ß", "a|b=c", "\x00\xff\x80", "tab\tnew\nline"} {
+		k := base
+		k.Kernel = name
+		keys = append(keys, k)
+	}
+	for _, seed := range []int64{-1, -42, math.MinInt64 + 1, math.MaxInt64} {
+		k := base
+		k.Seed = seed
+		keys = append(keys, k)
+	}
+	for i, k := range keys {
+		want := fmtKey(k)
+		if got := string(k.appendCanonical(nil)); got != want {
+			t.Errorf("key %d: canonical = %q, want %q", i, got, want)
+		}
+		if got := k.Profile.String(); got != fmtProfile(k.Profile) {
+			t.Errorf("key %d: ProfileKey.String = %q, want %q", i, got, fmtProfile(k.Profile))
+		}
+		sum := sha256.Sum256([]byte(want))
+		if got, want := k.Hash(), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("key %d: Hash = %s, want %s", i, got, want)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
@@ -80,20 +81,43 @@ func KeyFor(kernel string, blocks int, seed int64, line int, cfg config.Config) 
 	}
 }
 
-// canonical renders the key as the string that is hashed into the
-// content address. Every field appears with a tag, so no two distinct
-// keys can render equal.
-func (k Key) canonical() string {
-	return fmt.Sprintf("v%d|kernel=%s|blocks=%d|seed=%d|line=%d|profile=%s|alu=%d|fp=%d|sfu=%d|smem=%d|issue=%d",
-		formatVersion, k.Kernel, k.Blocks, k.Seed, k.Line, k.Profile.String(),
-		k.ALULatency, k.FPLatency, k.SFULatency, k.SMemLatency, k.IssueWidth)
+// appendCanonical appends the key's canonical rendering, the string that
+// is hashed into the content address, to b:
+//
+//	v<formatVersion>|kernel=K|blocks=B|seed=S|line=L|profile=P|alu=A|fp=F|sfu=U|smem=M|issue=I
+//
+// with P the config.ProfileKey's String form. Every field appears with a
+// tag, so no two distinct keys can render equal.
+func (k Key) appendCanonical(b []byte) []byte {
+	b = append(b, 'v')
+	b = strconv.AppendInt(b, formatVersion, 10)
+	b = append(b, "|kernel="...)
+	b = append(b, k.Kernel...)
+	b = appendField(b, "|blocks=", int64(k.Blocks))
+	b = appendField(b, "|seed=", k.Seed)
+	b = appendField(b, "|line=", int64(k.Line))
+	b = append(b, "|profile="...)
+	b = k.Profile.Append(b)
+	b = appendField(b, "|alu=", int64(k.ALULatency))
+	b = appendField(b, "|fp=", int64(k.FPLatency))
+	b = appendField(b, "|sfu=", int64(k.SFULatency))
+	b = appendField(b, "|smem=", int64(k.SMemLatency))
+	return appendField(b, "|issue=", int64(k.IssueWidth))
+}
+
+// appendField appends a tag and a decimal integer.
+func appendField(b []byte, tag string, v int64) []byte {
+	return strconv.AppendInt(append(b, tag...), v, 10)
 }
 
 // Hash returns the content address of the key: the hex SHA-256 of its
 // canonical rendering.
 func (k Key) Hash() string {
-	sum := sha256.Sum256([]byte(k.canonical()))
-	return hex.EncodeToString(sum[:])
+	var buf [256]byte
+	sum := sha256.Sum256(k.appendCanonical(buf[:0]))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // Entry is one stored prep: everything an evaluation needs beyond the
@@ -272,7 +296,12 @@ func (s *Store) Put(k Key, e *Entry) error {
 		s.obs.Counter("store.put_errors").Inc()
 		return fmt.Errorf("store: %w", err)
 	}
-	_, err = tmp.Write(b)
+	// CreateTemp makes the file 0600; an entry must be readable by every
+	// process that shares the directory, whoever wrote it.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(b)
+	}
 	if err == nil {
 		err = tmp.Sync()
 	}

@@ -199,6 +199,14 @@ func (c *ColWarp) Cursor() *ColCursor {
 	return cur
 }
 
+// ResetTo points the cursor at w, positioned before its first record. The
+// cursor keeps its line buffer, so a reused cursor stops allocating once
+// it has decoded its most divergent record.
+func (c *ColCursor) ResetTo(w *ColWarp) {
+	c.w = w
+	c.Reset()
+}
+
 // Reset repositions the cursor before the first record.
 func (c *ColCursor) Reset() {
 	c.rec = Rec{}
@@ -240,57 +248,64 @@ func (c *ColCursor) Next() bool {
 	if c.err != nil {
 		return false
 	}
-	if c.idx >= c.w.n {
-		if c.pcOff != len(c.w.pc) || c.srcOff != len(c.w.srcs) || c.maskOff != len(c.w.mask) ||
-			c.nlOff != len(c.w.nlines) || c.lnOff != len(c.w.lines) || c.maskRun != 0 {
-			return c.fail("column streams not fully consumed after %d records", c.w.n)
+	w, idx := c.w, c.idx
+	if idx >= w.n {
+		if c.pcOff != len(w.pc) || c.srcOff != len(w.srcs) || c.maskOff != len(w.mask) ||
+			c.nlOff != len(w.nlines) || c.lnOff != len(w.lines) || c.maskRun != 0 {
+			return c.fail("column streams not fully consumed after %d records", w.n)
 		}
 		return false
 	}
 
 	// The two per-record varint streams call binary.Uvarint directly, which
 	// the compiler inlines; a c.uvarint call per PC and per line costs
-	// 10-20% of a full decode.
-	d, sz := binary.Uvarint(c.w.pc[c.pcOff:])
-	if sz <= 0 {
-		return c.fail("truncated or malformed pc varint")
+	// 10-20% of a full decode. Most PC deltas fit one byte, which is read
+	// without the call.
+	var d uint64
+	if off := c.pcOff; off < len(w.pc) && w.pc[off] < 0x80 {
+		d = uint64(w.pc[off])
+		c.pcOff++
+	} else {
+		v, sz := binary.Uvarint(w.pc[off:])
+		if sz <= 0 {
+			return c.fail("truncated or malformed pc varint")
+		}
+		d = v
+		c.pcOff += sz
 	}
-	c.pcOff += sz
 	pc := c.prevPC + unzigzag(d)
 	if pc < math.MinInt32 || pc > math.MaxInt32 {
 		return c.fail("pc %d outside int32 range", pc)
 	}
 	c.prevPC = pc
 	c.rec.PC = int32(pc)
-	c.rec.Op = isa.Op(c.w.op[c.idx])
-	c.rec.Mem = isa.MemType(c.w.mem[c.idx])
-	ns := c.w.nsrc[c.idx]
+	c.rec.Op = isa.Op(w.op[idx])
+	c.rec.Mem = isa.MemType(w.mem[idx])
+	ns := w.nsrc[idx]
 	if int(ns) > len(c.rec.Srcs) {
 		return c.fail("source count %d exceeds %d", ns, len(c.rec.Srcs))
 	}
-	if c.srcOff+int(ns) > len(c.w.srcs) {
-		return c.fail("source column truncated (need %d bytes at offset %d of %d)", ns, c.srcOff, len(c.w.srcs))
+	if c.srcOff+int(ns) > len(w.srcs) {
+		return c.fail("source column truncated (need %d bytes at offset %d of %d)", ns, c.srcOff, len(w.srcs))
 	}
 	c.rec.NumSrcs = ns
-	for i := range c.rec.Srcs {
-		if i < int(ns) {
-			c.rec.Srcs[i] = isa.Reg(c.w.srcs[c.srcOff+i])
-		} else {
-			c.rec.Srcs[i] = isa.RegNone
-		}
+	srcs := [len(c.rec.Srcs)]isa.Reg{isa.RegNone, isa.RegNone, isa.RegNone, isa.RegNone}
+	for i, r := range w.srcs[c.srcOff : c.srcOff+int(ns)] {
+		srcs[i] = isa.Reg(r)
 	}
+	c.rec.Srcs = srcs
 	c.srcOff += int(ns)
-	c.rec.Dst = isa.Reg(c.w.dst[c.idx])
+	c.rec.Dst = isa.Reg(w.dst[idx])
 
 	if c.maskRun == 0 {
-		run, ok := c.uvarint(c.w.mask, &c.maskOff, "mask run")
+		run, ok := c.uvarint(w.mask, &c.maskOff, "mask run")
 		if !ok {
 			return false
 		}
 		if run == 0 {
 			return c.fail("zero-length mask run")
 		}
-		v, ok := c.uvarint(c.w.mask, &c.maskOff, "mask value")
+		v, ok := c.uvarint(w.mask, &c.maskOff, "mask value")
 		if !ok {
 			return false
 		}
@@ -304,15 +319,15 @@ func (c *ColCursor) Next() bool {
 
 	c.rec.Lines = nil
 	if c.rec.Op.IsGlobal() {
-		cnt, ok := c.uvarint(c.w.nlines, &c.nlOff, "line count")
+		cnt, ok := c.uvarint(w.nlines, &c.nlOff, "line count")
 		if !ok {
 			return false
 		}
 		// Every line consumes at least one byte of the lines column, so a
 		// count beyond the remaining bytes is malformed (and must not
 		// drive a huge allocation).
-		if cnt > uint64(len(c.w.lines)-c.lnOff) {
-			return c.fail("line count %d exceeds remaining column bytes %d", cnt, len(c.w.lines)-c.lnOff)
+		if cnt > uint64(len(w.lines)-c.lnOff) {
+			return c.fail("line count %d exceeds remaining column bytes %d", cnt, len(w.lines)-c.lnOff)
 		}
 		if cap(c.linesBuf) < int(cnt) {
 			c.linesBuf = make([]uint64, cnt)
@@ -320,7 +335,7 @@ func (c *ColCursor) Next() bool {
 		c.linesBuf = c.linesBuf[:cnt]
 		prev := uint64(0)
 		for i := 0; i < int(cnt); i++ {
-			v, sz := binary.Uvarint(c.w.lines[c.lnOff:])
+			v, sz := binary.Uvarint(w.lines[c.lnOff:])
 			if sz <= 0 {
 				return c.fail("truncated or malformed line varint")
 			}
@@ -340,7 +355,7 @@ func (c *ColCursor) Next() bool {
 		}
 	}
 
-	c.idx++
+	c.idx = idx + 1
 	return true
 }
 

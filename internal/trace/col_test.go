@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gpumech/internal/isa"
@@ -218,6 +220,69 @@ func TestColCursorErrSticksAndStops(t *testing.T) {
 	}
 	if cur.Err() != first {
 		t.Error("error changed across calls")
+	}
+}
+
+// TestColCursorResetTo points one cursor at warp after warp — away from
+// a warp it left mid-stream, from a larger warp to smaller ones, and away
+// from a decode error — and requires each pass to decode exactly what a
+// fresh cursor decodes.
+func TestColCursorResetTo(t *testing.T) {
+	// large has more records, wider PC jumps (multi-byte varints) and more
+	// lines per record than colRecs.
+	var recs []Rec
+	for i := 0; i < 300; i++ {
+		r := Rec{PC: int32(i % 7 * 700), Op: isa.OpIAdd, Dst: isa.Reg(i % 9), Srcs: [4]isa.Reg{1, 2, 3},
+			NumSrcs: uint8(i % 4), Mask: uint32(i/5) | 1}
+		if i%5 == 0 {
+			r.Op, r.Mem = isa.OpLdG, isa.MemF32
+			for l := 0; l < 1+i%40; l++ {
+				r.Lines = append(r.Lines, uint64(i*4096+l*129))
+			}
+		}
+		for j := int(r.NumSrcs); j < len(r.Srcs); j++ {
+			r.Srcs[j] = isa.RegNone
+		}
+		recs = append(recs, r)
+	}
+	large := encodeRecs(t, recs)
+	small := encodeRecs(t, colRecs())
+	tiny := encodeRecs(t, colRecs()[:4])
+	broken := encodeRecs(t, colRecs())
+	broken.pc = broken.pc[:2]
+
+	cur := small.Cursor()
+	for i := 0; i < 5 && cur.Next(); i++ { // leave small mid-stream
+	}
+	for step, w := range []*ColWarp{large, tiny, small, broken, large, small} {
+		cur.ResetTo(w)
+		if step == 4 {
+			cur.Next() // leave large after one record, inside a mask run
+			cur.ResetTo(tiny)
+			w = tiny
+		}
+		var got []Rec
+		for cur.Next() {
+			r := *cur.Rec()
+			r.Lines = slices.Clone(r.Lines)
+			got = append(got, r)
+		}
+		want, wantErr := decodeRecs(w)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("step %d: re-pointed cursor decoded %d records unlike a fresh cursor's %d", step, len(got), len(want))
+		}
+		if fmt.Sprint(cur.Err()) != fmt.Sprint(wantErr) {
+			t.Errorf("step %d: error %v, fresh cursor %v", step, cur.Err(), wantErr)
+		}
+	}
+	// The line buffer survives re-pointing: a warp no more divergent than
+	// one already decoded decodes without allocating.
+	if avg := testing.AllocsPerRun(20, func() {
+		cur.ResetTo(large)
+		for cur.Next() {
+		}
+	}); avg != 0 {
+		t.Errorf("decoding after ResetTo allocates %.1f times per pass, want 0", avg)
 	}
 }
 
