@@ -504,3 +504,21 @@ func TestCensusEmulatesSequentially(t *testing.T) {
 		t.Errorf("census emulated over %d block ranges, want 1", st.Workers)
 	}
 }
+
+// TestEvaluateOracleBeyondTheGrid posts oracle evaluations with more
+// warps and more MSHRs per core than any grid can use. The counts are the
+// client's, and the evaluation goroutine has no recover: the oracle must
+// answer them, not size its state by them.
+func TestEvaluateOracleBeyondTheGrid(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, field := range []string{"warps", "mshrs"} {
+		rec := postEvaluate(t, s.Handler(),
+			`{"kernel":"sdk_vectoradd","`+field+`":70368744177664,"blocks":16,"oracle":true}`)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", field, rec.Code, rec.Body.String())
+		}
+		if !strings.Contains(rec.Body.String(), `"oracle"`) {
+			t.Errorf("%s: response carries no oracle result:\n%s", field, rec.Body.String())
+		}
+	}
+}

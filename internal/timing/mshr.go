@@ -167,8 +167,11 @@ func (h releaseHeap) down(i0, n int) {
 	}
 }
 
+// newMSHRFile presizes the in-flight table for entries lines, at most
+// 1024: the count reaches Simulate unbounded, and the table doubles as
+// lines arrive.
 func newMSHRFile(entries int) *mshrFile {
-	return &mshrFile{entries: entries, inflight: newLineTable(entries)}
+	return &mshrFile{entries: entries, inflight: newLineTable(min(entries, 1024))}
 }
 
 // purge frees entries whose fills completed at or before now, returning

@@ -103,8 +103,7 @@ func (k *Kernel) Validate() error {
 func (k *Kernel) ValidateWarps(first int, ws []*WarpTrace) error {
 	var cur ColCursor
 	for j, w := range ws {
-		cur.w = &w.ColWarp
-		cur.Reset()
+		cur.ResetTo(&w.ColWarp)
 		if err := k.validateWarp(first+j, w, &cur); err != nil {
 			return err
 		}
