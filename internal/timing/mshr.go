@@ -30,22 +30,34 @@ type lineSlot struct {
 	done int64
 }
 
-// newLineTable returns an empty table sized for capacity lines (at
-// least 4) at half load.
-func newLineTable(capacity int) lineTable {
-	var t lineTable
-	t.resize(max(capacity, 4))
-	return t
-}
-
-// resize rehashes into the smallest power-of-two table holding capacity
-// at no more than half load.
-func (t *lineTable) resize(capacity int) {
+// tableSize returns the smallest power-of-two slot count holding
+// capacity lines at no more than half load, and its log2.
+func tableSize(capacity int) (int, uint) {
 	size, bits := 1, uint(0)
 	for size < 2*capacity {
 		size <<= 1
 		bits++
 	}
+	return size, bits
+}
+
+// reset empties the table for capacity lines (at least 4) at half load.
+// Slots that already hold that many are cleared and kept; the lookups
+// find the same lines in a larger table.
+func (t *lineTable) reset(capacity int) {
+	size, bits := tableSize(max(capacity, 4))
+	if len(t.slots) >= size {
+		clear(t.slots)
+	} else {
+		t.slots, t.shift = make([]lineSlot, size), 64-bits
+	}
+	t.n = 0
+}
+
+// resize rehashes into the smallest power-of-two table holding capacity
+// at no more than half load.
+func (t *lineTable) resize(capacity int) {
+	size, bits := tableSize(capacity)
 	old := t.slots
 	t.slots, t.shift, t.n = make([]lineSlot, size), 64-bits, 0
 	for _, s := range old {
@@ -167,11 +179,14 @@ func (h releaseHeap) down(i0, n int) {
 	}
 }
 
-// newMSHRFile presizes the in-flight table for entries lines, at most
-// 1024: the count reaches Simulate unbounded, and the table doubles as
-// lines arrive.
-func newMSHRFile(entries int) *mshrFile {
-	return &mshrFile{entries: entries, inflight: newLineTable(min(entries, 1024))}
+// reset empties the file and gives it entries MSHRs. The in-flight table
+// is sized for entries lines, at most 1024: the count reaches Simulate
+// unbounded, and the table doubles as lines arrive. A table from an
+// earlier run that is large enough is kept.
+func (m *mshrFile) reset(entries int) {
+	m.entries = entries
+	m.inflight.reset(min(entries, 1024))
+	m.releases = m.releases[:0]
 }
 
 // purge frees entries whose fills completed at or before now, returning

@@ -48,8 +48,8 @@ func TestBlockReuseMatchesFreshBlocks(t *testing.T) {
 	}
 	run := func(p point, fresh bool) *Result {
 		t.Helper()
-		s, err := newSim(p.tr, p.cfg, p.pol)
-		if err != nil {
+		var s sim
+		if err := s.reset(p.tr, p.cfg, p.pol); err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
 		s.freshBlocks = fresh
@@ -99,8 +99,8 @@ func resultsEqual(a, b *Result) bool {
 // warp took the slot.
 func TestDrainForgetsGreedyWarp(t *testing.T) {
 	w := func() []trace.Rec { return []trace.Rec{alu(1), alu(2)} }
-	s, err := newSim(kernel(1, w(), w(), w()), cfg1(1), GTO)
-	if err != nil {
+	var s sim
+	if err := s.reset(kernel(1, w(), w(), w()), cfg1(1), GTO); err != nil {
 		t.Fatal(err)
 	}
 	co := s.cores[0]
@@ -122,7 +122,9 @@ func TestDrainForgetsGreedyWarp(t *testing.T) {
 // unbounded (a served request sets them), so a core's state must be sized
 // by what the kernel gives it: each run must match one whose count the
 // grid just fills, without panicking, looping over absent blocks or
-// allocating for them.
+// allocating for them. That holds on a new simulator, which must build no
+// more than twice the bytes of the fitting run, and on one reused from
+// the fitting run, which must allocate no more than a repeat of it.
 func TestCountsBeyondTheGrid(t *testing.T) {
 	const blocks = 8
 	base := config.Baseline()
@@ -145,11 +147,11 @@ func TestCountsBeyondTheGrid(t *testing.T) {
 		// More entries than the kernel ever has lines in flight.
 		{"mshrs", base.WithMSHRs(1 << 12), base.WithMSHRs(huge)},
 	}
-	run := func(cfg config.Config, pol Policy) (*Result, uint64) {
+	run := func(s *sim, cfg config.Config, pol Policy) (*Result, uint64) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r, err := Simulate(tr, cfg, pol)
+		r, err := s.simulate(tr, cfg, pol)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -158,13 +160,23 @@ func TestCountsBeyondTheGrid(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, pol := range []Policy{RR, GTO} {
-			want, wantBytes := run(c.fits, pol)
-			got, gotBytes := run(c.huge, pol)
+			want, wantBytes := run(new(sim), c.fits, pol)
+			got, gotBytes := run(new(sim), c.huge, pol)
 			if !resultsEqual(got, want) {
 				t.Errorf("%s/%s: %d %s give %+v, the grid's fit %+v", c.name, pol, huge, c.name, got, want)
 			}
 			if gotBytes > 2*wantBytes {
 				t.Errorf("%s/%s: %d %s allocated %d bytes, the grid's fit %d", c.name, pol, huge, c.name, gotBytes, wantBytes)
+			}
+			var s sim
+			run(&s, c.fits, pol)
+			_, warmBytes := run(&s, c.fits, pol)
+			got, reusedBytes := run(&s, c.huge, pol)
+			if !resultsEqual(got, want) {
+				t.Errorf("%s/%s, reused: %d %s give %+v, the grid's fit %+v", c.name, pol, huge, c.name, got, want)
+			}
+			if reusedBytes > warmBytes {
+				t.Errorf("%s/%s, reused: %d %s allocated %d bytes, a repeat of the grid's fit %d", c.name, pol, huge, c.name, reusedBytes, warmBytes)
 			}
 		}
 	}

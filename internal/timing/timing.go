@@ -25,6 +25,7 @@ package timing
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gpumech/internal/cache"
 	"gpumech/internal/config"
@@ -165,18 +166,35 @@ func Simulate(k *trace.Kernel, cfg config.Config, pol Policy) (*Result, error) {
 	if cfg.WarpsPerCore%k.WarpsPerBlock != 0 {
 		return nil, fmt.Errorf("timing: WarpsPerCore (%d) not a multiple of warps per block (%d)", cfg.WarpsPerCore, k.WarpsPerBlock)
 	}
-	sim, err := newSim(k, cfg, pol)
-	if err != nil {
-		return nil, err
+	s := sims.Get().(*sim)
+	res, err := s.simulate(k, cfg, pol)
+	// A run that panics never gets here, so its state is dropped.
+	sims.Put(s)
+	return res, err
+}
+
+// sims keeps simulators between runs, so a run clears the storage of an
+// earlier one instead of allocating its own (DESIGN §5, "State reuse").
+var sims = sync.Pool{New: func() any { return new(sim) }}
+
+// simulate resets s for the run, runs it and then drops every reference
+// into the kernel's trace, so s keeps no trace alive between runs.
+func (s *sim) simulate(k *trace.Kernel, cfg config.Config, pol Policy) (*Result, error) {
+	var res *Result
+	err := s.reset(k, cfg, pol)
+	if err == nil {
+		res, err = s.run()
 	}
-	return sim.run()
+	s.detach()
+	return res, err
 }
 
 type sim struct {
 	cfg   config.Config
 	pol   Policy
+	k     *trace.Kernel // nil between runs
 	cores []*core
-	l2    *cache.Array
+	l2    tagArray
 	// dramFree is the cycle at which the shared DRAM channel next frees.
 	dramFree    int64
 	dramService float64
@@ -196,16 +214,18 @@ type sim struct {
 }
 
 type core struct {
-	pending [][]*trace.WarpTrace
-	warps   []*warpState // resident, in admission order: oldest first
+	// next is the next block to admit. Block b runs on core b mod Cores,
+	// as trace.Assign deals them, so next strides by the core count.
+	next  int
+	warps []*warpState // resident, in admission order: oldest first
 	// wakes[i] is the earliest cycle warps[i] may issue: maxInt64 while
 	// the warp is done, waits at a barrier or has no record left, and
 	// wakeIssuable once an issue check found its record issuable for good
 	// (see canIssue). The scheduler scans read eligibility from this one
 	// dense column, and each warp keeps its index in it (warpState.slot).
 	wakes  []int64
-	l1     *cache.Array
-	mshr   *mshrFile
+	l1     tagArray
+	mshr   mshrFile
 	rrPos  int
 	greedy *warpState
 	insts  int64
@@ -233,9 +253,32 @@ type core struct {
 	// results against it so blocked retries stay O(1).
 	memEpoch int64
 
-	// spare holds drained blocks for admitBlock to reuse: their warp
-	// slabs, scoreboards and trace cursors.
+	// slabs holds every block state the core has built, and spare the
+	// ones free for admitBlock to reuse: drained blocks' warp slabs,
+	// scoreboards and trace cursors.
+	slabs []*blockState
 	spare []*blockState
+}
+
+// tagArray is a cache tag array with the geometry it was built for.
+type tagArray struct {
+	*cache.Array
+	geom [3]int // size, line and associativity
+}
+
+// reset empties the array for the geometry: in place when it was built
+// for it, otherwise by building a new array.
+func (t *tagArray) reset(size, line, assoc int) error {
+	if g := [3]int{size, line, assoc}; t.geom != g {
+		a, err := cache.NewArray(size, line, assoc)
+		if err != nil {
+			return err
+		}
+		*t = tagArray{a, g}
+		return nil
+	}
+	t.Reset()
+	return nil
 }
 
 type blockState struct {
@@ -290,50 +333,102 @@ func (co *core) setWake(w *warpState, at int64) {
 	co.wakes[w.slot] = at
 }
 
-func newSim(k *trace.Kernel, cfg config.Config, pol Policy) (*sim, error) {
-	l2, err := cache.NewArray(cfg.L2SizeBytes, cfg.L2LineBytes, cfg.L2Assoc)
-	if err != nil {
-		return nil, err
+// reset readies s to run k under cfg and pol. It keeps what an earlier
+// run built wherever it fits this run and builds the rest, so on a zero
+// sim it builds everything: the tag arrays are cleared in place for the
+// same geometry, the MSHR tables, release heaps and columns are emptied,
+// and the block slabs that fit the kernel's blocks go on the spare lists.
+func (s *sim) reset(k *trace.Kernel, cfg config.Config, pol Policy) error {
+	dramService := cfg.DRAMServiceCycles()
+	*s = sim{cfg: cfg, pol: pol, k: k, cores: s.cores, l2: s.l2,
+		dramService:    dramService,
+		dramBacklogMax: max(int64(float64(cfg.DRAMQueueDepth)*dramService), 1),
+		numRegs:        k.Prog.NumRegs + k.Prog.NumPreds,
+		sfuService:     int64(cfg.SFUServiceCycles()),
 	}
-	s := &sim{cfg: cfg, pol: pol, l2: l2, dramService: cfg.DRAMServiceCycles()}
-	s.sfuService = int64(cfg.SFUServiceCycles())
-	s.dramBacklogMax = int64(float64(cfg.DRAMQueueDepth) * s.dramService)
-	if s.dramBacklogMax < 1 {
-		s.dramBacklogMax = 1
+	if err := s.l2.reset(cfg.L2SizeBytes, cfg.L2LineBytes, cfg.L2Assoc); err != nil {
+		return err
 	}
-	asg := trace.Assign(k.Blocks, cfg.Cores)
-	blocksPerCore := cfg.WarpsPerCore / k.WarpsPerBlock
-	numRegs := k.Prog.NumRegs + k.Prog.NumPreds
-
-	for c := 0; c < cfg.Cores; c++ {
-		l1, err := cache.NewArray(cfg.L1SizeBytes, cfg.L1LineBytes, cfg.L1Assoc)
-		if err != nil {
-			return nil, err
-		}
-		// WarpsPerCore comes from the caller unbounded: size the columns
-		// by the warps this core can actually hold.
-		resident := min(cfg.WarpsPerCore, len(asg.CoreBlocks[c])*k.WarpsPerBlock)
-		co := &core{l1: l1, mshr: newMSHRFile(cfg.MSHREntries),
-			warps: make([]*warpState, 0, resident),
-			wakes: make([]int64, 0, resident)}
-		for _, b := range asg.CoreBlocks[c] {
-			var ws []*trace.WarpTrace
-			ws = append(ws, k.WarpsOfBlock(b)...)
-			co.pending = append(co.pending, ws)
-		}
-		for i := 0; i < blocksPerCore && len(co.pending) > 0; i++ {
-			if err := co.admitBlock(numRegs, 0); err != nil {
-				return nil, err
-			}
-		}
-		co.done = len(co.warps) == 0 && len(co.pending) == 0
-		s.cores = append(s.cores, co)
+	// Cores beyond cfg.Cores keep their storage in the spare capacity.
+	s.cores = s.cores[:cap(s.cores)]
+	for len(s.cores) < cfg.Cores {
+		s.cores = append(s.cores, nil)
 	}
-	s.numRegs = numRegs
-	return s, nil
+	s.cores = s.cores[:cfg.Cores]
+	for c := range s.cores {
+		if s.cores[c] == nil {
+			s.cores[c] = new(core)
+		}
+	}
+	for c, co := range s.cores {
+		if err := s.resetCore(co, c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// numRegs is stored on sim for block admission during the run.
+// resetCore readies core c for the run and admits its first blocks.
+func (s *sim) resetCore(co *core, c int) error {
+	cfg, k := s.cfg, s.k
+	if err := co.l1.reset(cfg.L1SizeBytes, cfg.L1LineBytes, cfg.L1Assoc); err != nil {
+		return err
+	}
+	co.mshr.reset(cfg.MSHREntries)
+	// A slab serves only blocks of its warp count, and its scoreboards
+	// need room for every register of each warp.
+	slabs := co.slabs[:0]
+	for _, b := range co.slabs {
+		if len(b.warps) == k.WarpsPerBlock && cap(b.regReady) >= k.WarpsPerBlock*s.numRegs {
+			slabs = append(slabs, b)
+		}
+	}
+	clear(co.slabs[len(slabs):])
+	// WarpsPerCore comes from the caller unbounded: size the columns by
+	// the warps this core can actually hold.
+	var blocks int
+	if c < k.Blocks {
+		blocks = (k.Blocks-1-c)/cfg.Cores + 1
+	}
+	resident := min(cfg.WarpsPerCore, blocks*k.WarpsPerBlock)
+	clear(co.warps[:cap(co.warps)]) // drop pointers into dropped slabs
+	*co = core{next: c, l1: co.l1, mshr: co.mshr, slabs: slabs,
+		spare: append(co.spare[:0], slabs...),
+		warps: column(co.warps, resident),
+		wakes: column(co.wakes, resident),
+	}
+	for i := 0; i < cfg.WarpsPerCore/k.WarpsPerBlock && co.next < k.Blocks; i++ {
+		if err := s.admitBlock(co, 0); err != nil {
+			return err
+		}
+	}
+	co.done = len(co.warps) == 0 && co.next >= k.Blocks
+	return nil
+}
+
+// column returns col emptied, or a new column with room for n entries
+// when col has less.
+func column[T any](col []T, n int) []T {
+	if cap(col) < n {
+		return make([]T, 0, n)
+	}
+	return col[:0]
+}
+
+// detach drops the run's references into the kernel's trace: the kernel
+// and every warp cursor's warp.
+func (s *sim) detach() {
+	s.k = nil
+	for _, co := range s.cores {
+		for _, b := range co.slabs {
+			for i := range b.warps {
+				b.warps[i].cur.Detach()
+			}
+		}
+	}
+}
+
+// run simulates cycle by cycle until every core has drained.
 func (s *sim) run() (*Result, error) {
 	res := &Result{
 		PerCoreCycles: make([]int64, len(s.cores)),
@@ -844,7 +939,7 @@ func (s *sim) finishWarp(co *core, w *warpState, now int64) {
 		}
 	}
 	co.warps, co.wakes = co.warps[:live], co.wakes[:live]
-	if err := co.admitBlock(s.numRegs, now+1); err != nil && s.err == nil {
+	if err := s.admitBlock(co, now+1); err != nil && s.err == nil {
 		s.err = err
 	}
 	// Only now may a later admission reuse b: issue still advances the
@@ -852,7 +947,7 @@ func (s *sim) finishWarp(co *core, w *warpState, now int64) {
 	if !s.freshBlocks {
 		co.spare = append(co.spare, b)
 	}
-	if len(co.warps) == 0 && len(co.pending) == 0 {
+	if len(co.warps) == 0 && co.next >= s.k.Blocks {
 		co.done = true
 		co.cycles = now + 1
 	}
@@ -870,27 +965,31 @@ func (co *core) release(b *blockState, now int64) {
 	}
 }
 
-// admitBlock moves the next pending block into residency, priming each
+// admitBlock moves the core's next block into residency, priming each
 // warp's cursor on its first record. A spare block's warp slab,
 // scoreboards and cursors are reused.
-func (co *core) admitBlock(numRegs int, wake int64) error {
-	if len(co.pending) == 0 {
+func (s *sim) admitBlock(co *core, wake int64) error {
+	if co.next >= s.k.Blocks {
 		return nil
 	}
-	traces := co.pending[0]
-	co.pending = co.pending[1:]
-	var b *blockState // every block of a kernel has the same warp count
-	if n := len(co.spare); n > 0 {
-		b = co.spare[n-1]
-		co.spare = co.spare[:n-1]
+	traces := s.k.WarpsOfBlock(co.next)
+	co.next += s.cfg.Cores
+	numRegs := s.numRegs
+	n := len(traces) * numRegs
+	var b *blockState
+	if m := len(co.spare); m > 0 {
+		b = co.spare[m-1]
+		co.spare = co.spare[:m-1]
+		b.regReady, b.regFromMem = b.regReady[:n], b.regFromMem[:n]
 		clear(b.regReady)
 		clear(b.regFromMem)
 	} else {
 		b = &blockState{
 			warps:      make([]warpState, len(traces)),
-			regReady:   make([]int64, len(traces)*numRegs),
-			regFromMem: make([]bool, len(traces)*numRegs),
+			regReady:   make([]int64, n),
+			regFromMem: make([]bool, n),
 		}
+		co.slabs = append(co.slabs, b)
 	}
 	b.alive, b.barWait = len(traces), 0
 	for i, wt := range traces {

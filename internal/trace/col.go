@@ -207,6 +207,12 @@ func (c *ColCursor) ResetTo(w *ColWarp) {
 	c.Reset()
 }
 
+// Detach drops the cursor's warp, so the cursor no longer keeps its trace
+// alive. It keeps its line buffer; only ResetTo may follow.
+func (c *ColCursor) Detach() {
+	*c = ColCursor{linesBuf: c.linesBuf}
+}
+
 // Reset repositions the cursor before the first record.
 func (c *ColCursor) Reset() {
 	c.rec = Rec{}
