@@ -236,9 +236,8 @@ type core struct {
 	// skipped entirely. Safe because cross-core events can only delay,
 	// never advance, a warp's readiness (dramFree is monotone, MSHRs and
 	// scoreboards are core-local).
-	sleepUntil  int64
-	sleepReason StallReason // attribution for the skipped cycles
-	stalls      [6]int64
+	sleepUntil int64
+	stalls     [6]int64
 
 	mshrStalls int64
 	noIssue    int64
@@ -468,15 +467,8 @@ func (s *sim) run() (*Result, error) {
 			if nextEvent == maxInt64 || nextEvent <= s.now {
 				return nil, fmt.Errorf("timing: deadlock at cycle %d", s.now)
 			}
-			// Fast-forward idle cycles; account them to every live core
-			// under the reason recorded when it went to sleep.
-			skipped := nextEvent - s.now
-			for _, co := range s.cores {
-				if !co.done {
-					co.noIssue += skipped - 1
-					co.stalls[co.sleepReason] += skipped - 1
-				}
-			}
+			// Fast-forward idle cycles; each core charged its own when
+			// it went to sleep.
 			s.now = nextEvent
 		}
 		if s.err != nil {
@@ -531,7 +523,7 @@ func (s *sim) stepCore(co *core) (bool, int64) {
 	}
 
 	// Blocked: find the earliest wake-up among resident warps and MSHR
-	// releases; classify the lost cycle for the measured stall breakdown.
+	// releases; classify the lost cycles for the measured stall breakdown.
 	next := maxInt64
 	sawMSHRBlock := false
 	live := 0
@@ -570,15 +562,21 @@ func (s *sim) stepCore(co *core) (bool, int64) {
 			reason = StallBarrier
 		}
 	}
-	co.stalls[reason]++
-	co.sleepReason = reason
 	if r := co.mshr.nextRelease(); r < next && r > now {
 		next = r
 	}
-	if sawMSHRBlock {
-		co.mshrStalls++
+	// The core sleeps until next, and every cycle until then would read
+	// the same stamps, so they are all lost to this step's reason; the
+	// fast-forward charges nothing. With no next event, only this cycle.
+	lost := int64(1)
+	if next != maxInt64 {
+		lost = next - now
 	}
-	co.noIssue++
+	co.stalls[reason] += lost
+	if sawMSHRBlock {
+		co.mshrStalls += lost
+	}
+	co.noIssue += lost
 	if next > now {
 		co.sleepUntil = next
 	}

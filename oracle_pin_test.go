@@ -191,3 +191,41 @@ func TestOracleResultsPinned(t *testing.T) {
 		t.Logf("wrote %d files under testdata/oracle", len(names))
 	}
 }
+
+// TestOracleStallsCoverCoreCycles checks the oracle's cycle accounting on
+// every pinned run, reading testdata/oracle and simulating nothing: each
+// core-cycle either issues one instruction or is lost, to exactly one
+// stall reason, so the core-cycles of a run equal its instructions plus
+// its stall cycles, and its stall cycles equal its no-issue cycles.
+// A core that sleeps while another issues must be charged its lost
+// cycles too, not only the cycles the whole machine skips.
+func TestOracleStallsCoverCoreCycles(t *testing.T) {
+	runs := 0
+	for _, name := range kernels.Names() {
+		data, err := os.ReadFile(oraclePinPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pinned map[string]*timing.Result
+		if err := json.Unmarshal(data, &pinned); err != nil {
+			t.Fatalf("corrupt oracle pin %s: %v", oraclePinPath(name), err)
+		}
+		for key, r := range pinned {
+			var coreCycles, stalls int64
+			for _, c := range r.PerCoreCycles {
+				coreCycles += c
+			}
+			for _, s := range r.Stalls {
+				stalls += s
+			}
+			if coreCycles != r.Insts+stalls || stalls != r.NoIssueCycles {
+				t.Errorf("%s %s: %d core-cycles, %d instructions, %d stall cycles, %d no-issue cycles",
+					name, key, coreCycles, r.Insts, stalls, r.NoIssueCycles)
+			}
+			runs++
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no pinned runs read")
+	}
+}
