@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,6 +190,7 @@ type Server struct {
 	requests      *obs.Counter
 	shed          *obs.Counter
 	timeouts      *obs.Counter
+	panics        *obs.Counter
 	evicted       *obs.Counter
 	inflight      *obs.Gauge
 	cached        *obs.Gauge
@@ -202,6 +204,25 @@ type Server struct {
 	stageEstimate *obs.Histogram
 	stageEncode   *obs.Histogram
 	statusCls     [6]*obs.Counter // index by status/100; [0] unused
+
+	// evaluateFn is runEvaluation; tests replace it to make an
+	// evaluation panic.
+	evaluateFn func(EvaluateRequest, gpumech.Policy, gpumech.Level, *requestState) ([]byte, int, error)
+}
+
+// maxBlocks is the largest grid a request may ask for. The kernel
+// builders size their arrays by the grid, so a request beyond it is
+// refused before any build. It is above every kernel's default grid
+// (at most 1536 blocks, at one warp per block) and every grid the
+// repository's tools, tests and benchmark use.
+const maxBlocks = 4096
+
+// checkBlocks refuses a requested grid outside [0, maxBlocks].
+func checkBlocks(blocks int) error {
+	if blocks < 0 || blocks > maxBlocks {
+		return fmt.Errorf("blocks must be between 0 and %d, got %d", maxBlocks, blocks)
+	}
+	return nil
 }
 
 // errCacheFull marks session-cache exhaustion with every cached session
@@ -263,6 +284,7 @@ func New(cfg Config) *Server {
 		requests:      cfg.Metrics.Counter("serve.requests"),
 		shed:          cfg.Metrics.Counter("serve.shed"),
 		timeouts:      cfg.Metrics.Counter("serve.timeouts"),
+		panics:        cfg.Metrics.Counter("serve.panics"),
 		evicted:       cfg.Metrics.Counter("serve.sessions.evicted"),
 		inflight:      cfg.Metrics.Gauge("serve.inflight"),
 		cached:        cfg.Metrics.Gauge("serve.sessions.cached"),
@@ -276,6 +298,7 @@ func New(cfg Config) *Server {
 		stageEstimate: cfg.Metrics.Histogram("serve.stage.estimate.seconds"),
 		stageEncode:   cfg.Metrics.Histogram("serve.stage.encode.seconds"),
 	}
+	s.evaluateFn = s.runEvaluation
 	for c := 1; c < len(s.statusCls); c++ {
 		s.statusCls[c] = cfg.Metrics.Counter(fmt.Sprintf("serve.status.%dxx", c))
 	}
@@ -442,8 +465,11 @@ func parseEvaluate(r *http.Request) (req EvaluateRequest, pol gpumech.Policy, lv
 	if req.Kernel == "" {
 		return req, pol, lvl, fmt.Errorf("missing field %q", "kernel")
 	}
-	if req.Warps < 0 || req.MSHRs < 0 || req.BW < 0 || req.Blocks < 0 {
-		return req, pol, lvl, fmt.Errorf("warps, mshrs, bw and blocks must be non-negative")
+	if req.Warps < 0 || req.MSHRs < 0 || req.BW < 0 {
+		return req, pol, lvl, fmt.Errorf("warps, mshrs and bw must be non-negative")
+	}
+	if err = checkBlocks(req.Blocks); err != nil {
+		return req, pol, lvl, err
 	}
 	if req.Policy == "" {
 		req.Policy = "rr"
@@ -508,7 +534,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			s.inflight.Add(-1)
 		}()
 		start := time.Now()
-		body, status, err := s.runEvaluation(req, pol, lvl, st)
+		body, status, err := s.evaluateRecovered(req, pol, lvl, st)
 		s.evaluate.Observe(time.Since(start).Seconds())
 		done <- outcome{body: body, status: status, err: err}
 	}()
@@ -532,6 +558,24 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout, fmt.Errorf(
 			"evaluation exceeded the %s request timeout", s.cfg.RequestTimeout))
 	}
+}
+
+// evaluateRecovered runs one evaluation and turns a panic in it into a
+// 500 for its own request: the evaluation runs on its own goroutine, so
+// an unrecovered panic in the model, the oracle or the emulator would
+// exit the server for every client. The panic is counted and logged
+// with its stack.
+func (s *Server) evaluateRecovered(req EvaluateRequest, pol gpumech.Policy, lvl gpumech.Level, st *requestState) (body []byte, status int, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Inc()
+			s.log.Error("evaluation panicked", slog.String("id", st.id),
+				slog.String("kernel", req.Kernel), slog.Any("panic", p),
+				slog.String("stack", string(debug.Stack())))
+			body, status, err = nil, http.StatusInternalServerError, fmt.Errorf("evaluation failed: internal error")
+		}
+	}()
+	return s.evaluateFn(req, pol, lvl, st)
 }
 
 // runEvaluation resolves the session and produces the response document.
@@ -813,8 +857,8 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("missing field %q", "kernel"))
 		return
 	}
-	if req.Blocks < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("blocks must be non-negative"))
+	if err := checkBlocks(req.Blocks); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	st.kernel = req.Kernel

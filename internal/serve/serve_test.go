@@ -507,8 +507,8 @@ func TestCensusEmulatesSequentially(t *testing.T) {
 
 // TestEvaluateOracleBeyondTheGrid posts oracle evaluations with more
 // warps and more MSHRs per core than any grid can use. The counts are the
-// client's, and the evaluation goroutine has no recover: the oracle must
-// answer them, not size its state by them.
+// client's: the oracle must answer them, not size its state by them (a
+// panic would answer 500).
 func TestEvaluateOracleBeyondTheGrid(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, field := range []string{"warps", "mshrs"} {
@@ -519,6 +519,88 @@ func TestEvaluateOracleBeyondTheGrid(t *testing.T) {
 		}
 		if !strings.Contains(rec.Body.String(), `"oracle"`) {
 			t.Errorf("%s: response carries no oracle result:\n%s", field, rec.Body.String())
+		}
+	}
+}
+
+// TestEvaluatePanicAnswers500 makes evaluations panic through the
+// evaluateFn seam. Each must answer 500 with an error body, count the
+// panic, log it with its stack and free its evaluation slot, and the
+// server must go on answering: with one slot, a leaked slot would shed
+// the next request with a 429.
+func TestEvaluatePanicAnswers500(t *testing.T) {
+	var logBuf bytes.Buffer
+	var mu sync.Mutex
+	s := newTestServer(t, Config{MaxInFlight: 1,
+		Logger: slog.New(slog.NewJSONHandler(&lockedWriter{w: &logBuf, mu: &mu}, nil))})
+	s.evaluateFn = func(EvaluateRequest, gpumech.Policy, gpumech.Level, *requestState) ([]byte, int, error) {
+		panic("injected evaluation fault")
+	}
+	for i := 0; i < 3; i++ {
+		rec := postEvaluate(t, s.Handler(), `{"kernel":"sdk_vectoradd","blocks":16}`)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("panicking evaluation %d: status %d, want 500: %s", i, rec.Code, rec.Body.String())
+		}
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+			t.Fatalf("panicking evaluation %d: body %q is not an error document", i, rec.Body.String())
+		}
+	}
+	if n := s.panics.Value(); n != 3 {
+		t.Errorf("serve.panics = %d, want 3", n)
+	}
+	mu.Lock()
+	logged := logBuf.String()
+	mu.Unlock()
+	if !strings.Contains(logged, "evaluation panicked") || !strings.Contains(logged, "injected evaluation fault") ||
+		!strings.Contains(logged, "evaluateRecovered") {
+		t.Errorf("log does not record the panic with its value and stack:\n%s", logged)
+	}
+	s.evaluateFn = s.runEvaluation
+	if rec := postEvaluate(t, s.Handler(), `{"kernel":"sdk_vectoradd","blocks":16}`); rec.Code != http.StatusOK {
+		t.Fatalf("evaluation after the panics: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestBlocksCeiling refuses a grid above maxBlocks on every endpoint that
+// builds a kernel from a request, with a 400 and before any build, and
+// checks that the ceiling admits every kernel's default grid.
+func TestBlocksCeiling(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{Metrics: reg})
+	over := fmt.Sprint(maxBlocks + 1)
+	for _, c := range []struct {
+		route string
+		rec   *httptest.ResponseRecorder
+	}{
+		{"evaluate", postEvaluate(t, s.Handler(), `{"kernel":"sdk_vectoradd","oracle":true,"blocks":`+over+`}`)},
+		{"lint", postLint(t, s.Handler(), `{"kernel":"sdk_vectoradd","blocks":`+over+`}`)},
+		{"sweeps", postSweep(t, s.Handler(), `{"kernels":["sdk_vectoradd"],"blocks":`+over+`,
+			"parameters":{"warps":{"values":[8]}}}`)},
+	} {
+		if c.rec.Code != http.StatusBadRequest || !strings.Contains(c.rec.Body.String(), "blocks must be between") {
+			t.Errorf("%s with %s blocks: status %d, want 400: %s", c.route, over, c.rec.Code, c.rec.Body.String())
+		}
+	}
+	if traced := reg.Counter("trace.kernels").Value(); traced != 0 {
+		t.Errorf("%d kernels traced for refused grids", traced)
+	}
+	s.mu.Lock()
+	sessions := len(s.sessions)
+	s.mu.Unlock()
+	if sessions != 0 {
+		t.Errorf("%d sessions built for refused grids", sessions)
+	}
+	if d := kernels.DefaultBlocks(1); d > maxBlocks {
+		t.Errorf("the default grid at one warp per block, %d blocks, is above the ceiling %d", d, maxBlocks)
+	}
+	for _, name := range kernels.Names() {
+		info, err := kernels.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := kernels.DefaultBlocks(info.WarpsPerBlock); d > maxBlocks {
+			t.Errorf("%s: default grid %d above the ceiling %d", name, d, maxBlocks)
 		}
 	}
 }

@@ -58,6 +58,9 @@ func (s *Server) handleSweepCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	total, err := spec.NumPoints()
+	if err == nil {
+		err = checkBlocks(spec.Blocks)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
