@@ -182,8 +182,13 @@ type Evaluator struct {
 	opt     Options
 	workers int
 
-	mu      sync.Mutex // guards cur, evals and timings
+	mu      sync.Mutex // guards cur, keep, kept, evals and timings
 	cur     *kernelCtx // most recently traced kernel (direct-Eval path)
+	// keep names the kernels the ablation and SFU studies revisit after
+	// the precomputed evaluations, and kept holds their contexts once
+	// traced, so each is emulated and cache-simulated once per Run.
+	keep    map[string]bool
+	kept    map[string]*kernelCtx
 	evals   map[string]*Eval
 	timings map[string]*Timing
 
@@ -263,6 +268,9 @@ func (e *Evaluator) traceKernel(name string, logf logFunc) (*kernelCtx, error) {
 	}
 	kc := &kernelCtx{name: name, tr: tr, memo: prep.ForTrace(tr, e.opt.Seed, e.workers)}
 	e.mu.Lock()
+	if e.keep[name] {
+		e.kept[name] = kc
+	}
 	if _, ok := e.timings[name]; !ok {
 		e.timings[name] = &Timing{Kernel: name, TraceSecs: time.Since(start).Seconds(), TraceInsts: tr.TotalInsts()}
 	}
@@ -273,11 +281,16 @@ func (e *Evaluator) traceKernel(name string, logf logFunc) (*kernelCtx, error) {
 }
 
 // ensureKernel returns a context for the named kernel, re-tracing only
-// when it is not the current one. Only one kernel trace is held by this
-// direct path at a time; the parallel plan executor manages its own
-// contexts (at most Workers of them live at once).
+// when it is neither kept nor the current one. Besides the kept kernels,
+// only one kernel trace is held by this direct path at a time; the
+// parallel plan executor manages its own contexts (at most Workers of
+// them live at once).
 func (e *Evaluator) ensureKernel(name string) (*kernelCtx, error) {
 	e.mu.Lock()
+	if kc := e.kept[name]; kc != nil {
+		e.mu.Unlock()
+		return kc, nil
+	}
 	if e.cur != nil && e.cur.name == name {
 		kc := e.cur
 		e.mu.Unlock()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,7 +153,10 @@ func TestFigureIDsMatchBuilders(t *testing.T) {
 // the variants that keep the merge window read, and one build without
 // the merge window, shared by the two variants that drop it. The SFU
 // study reads each kernel's memo entry at every lane count, since
-// SFUPerCore acts only after prep.
+// SFUPerCore acts only after prep. Every kernel is emulated once per run
+// (trace.kernels), also when the evaluator's kernel set and both studies
+// share kernels: the studies then read the trace and the memo entry the
+// precomputed evaluations built.
 func TestPrepBuiltOncePerKernel(t *testing.T) {
 	const blocks = 64
 	warpsOf := func(names ...string) int {
@@ -170,15 +174,26 @@ func TestPrepBuiltOncePerKernel(t *testing.T) {
 	// The studies trace their own kernels; cfd is in neither list, so the
 	// baseline pass over the evaluator's kernel set adds one build of it.
 	cfd := []string{"rodinia_cfd_compute_flux"}
+	// A kernel set that shares kernels with both studies, which share
+	// sdk_blackscholes with each other.
+	shared := []string{"rodinia_cfd_compute_flux", "sdk_blackscholes", "rodinia_srad1"}
+	distinct := slices.Clone(ablationKernels)
+	for _, k := range append(slices.Clone(shared), sfuKernels...) {
+		if !slices.Contains(distinct, k) {
+			distinct = append(distinct, k)
+		}
+	}
 	cases := []struct {
 		figs     []string
 		kernels  []string
 		warps    int // interval.warps_profiled
 		profiles int // cache.profile.memo_misses
+		traces   int // trace.kernels
 	}{
-		{[]string{"fig11", "fig12", "fig13", "fig14", "fig15"}, names, warpsOf(names...), len(names)},
-		{[]string{"ablation"}, cfd, warpsOf(cfd...) + 2*warpsOf(ablationKernels...), 1 + len(ablationKernels)},
-		{[]string{"sfu"}, cfd, warpsOf(cfd...) + warpsOf(sfuKernels...), 1 + len(sfuKernels)},
+		{[]string{"fig11", "fig12", "fig13", "fig14", "fig15"}, names, warpsOf(names...), len(names), len(names)},
+		{[]string{"ablation"}, cfd, warpsOf(cfd...) + 2*warpsOf(ablationKernels...), 1 + len(ablationKernels), 1 + len(ablationKernels)},
+		{[]string{"sfu"}, cfd, warpsOf(cfd...) + warpsOf(sfuKernels...), 1 + len(sfuKernels), 1 + len(sfuKernels)},
+		{[]string{"ablation", "sfu"}, shared, warpsOf(distinct...) + warpsOf(ablationKernels...), len(distinct), len(distinct)},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
@@ -193,6 +208,9 @@ func TestPrepBuiltOncePerKernel(t *testing.T) {
 			}
 			if n := reg.Counter("cache.profile.memo_misses").Value(); n != int64(tc.profiles) {
 				t.Errorf("%v workers=%d: cache.profile.memo_misses = %d, want %d (one per kernel)", tc.figs, workers, n, tc.profiles)
+			}
+			if n := reg.Counter("trace.kernels").Value(); n != int64(tc.traces) {
+				t.Errorf("%v workers=%d: trace.kernels = %d, want %d (one emulation per kernel)", tc.figs, workers, n, tc.traces)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpumech/internal/config"
@@ -339,6 +340,25 @@ func (e *Evaluator) Run(ids []string) ([]*report.Figure, error) {
 			return nil, fmt.Errorf("experiments: unknown figure %q (have %v)", id, FigureIDs())
 		}
 	}
+	// The studies' kernels stay traced from their first use to the end of
+	// the run, so the precomputed pass and the studies share one trace
+	// and one prep memo per kernel.
+	keep := make(map[string]bool)
+	for id, ks := range map[string][]string{"ablation": ablationKernels, "sfu": sfuKernels} {
+		if slices.Contains(ids, id) {
+			for _, k := range ks {
+				keep[k] = true
+			}
+		}
+	}
+	e.mu.Lock()
+	e.keep, e.kept = keep, make(map[string]*kernelCtx)
+	e.mu.Unlock()
+	defer func() {
+		e.mu.Lock()
+		e.keep, e.kept = nil, nil
+		e.mu.Unlock()
+	}()
 	if err := e.precompute(ids); err != nil {
 		return nil, err
 	}
