@@ -182,8 +182,8 @@ type Evaluator struct {
 	opt     Options
 	workers int
 
-	mu      sync.Mutex // guards cur, keep, kept, evals and timings
-	cur     *kernelCtx // most recently traced kernel (direct-Eval path)
+	mu  sync.Mutex // guards cur, keep, kept, evals and timings
+	cur *kernelCtx // most recently traced kernel (direct-Eval path)
 	// keep names the kernels the ablation and SFU studies revisit after
 	// the precomputed evaluations, and kept holds their contexts once
 	// traced, so each is emulated and cache-simulated once per Run.
